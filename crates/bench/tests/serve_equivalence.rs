@@ -5,19 +5,15 @@
 //! backpressure policies, every outcome delivered through a
 //! [`Server`] ticket must be byte-identical to a direct
 //! [`QueryEngine::run`] of the same [`Query`] — concurrency may reorder
-//! *completion*, never *answers*. Both candidate-queue backends are
-//! covered (the production [`ArrivalHeap`] across the full matrix, the
-//! paper-literal [`LinearQueue`] on a spot-check combo), as is the
-//! cached k! permutation table of order-free queries under concurrent
-//! server workers.
+//! *completion*, never *answers*. Also covered: the cached k!
+//! permutation table of order-free queries under concurrent server
+//! workers. (The server runs the production [`ArrivalHeap`] backend
+//! only; heap ≡ linear is gated at the engine level.)
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{
-    Algorithm, AnnMode, ArrivalHeap, CandidateQueue, LinearQueue, Query, QueryEngine, QueryScratch,
-    TnnError,
-};
+use tnn_core::{Algorithm, AnnMode, ArrivalHeap, Query, QueryEngine, QueryScratch, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{Backpressure, ServeConfig, Server, ShutdownMode};
@@ -68,13 +64,13 @@ fn query_mix(p: Point, k: usize, phases: &[u64], ann_factor: f64, issued_at: u64
 /// given worker count and policy, asserting byte-identity per query.
 /// The queue capacity covers the whole batch, so `Reject`/`Shed` never
 /// fire and every policy must deliver identical answers.
-fn assert_serve_equals_engine<Q: CandidateQueue + 'static>(
+fn assert_serve_equals_engine(
     env: &MultiChannelEnv,
     queries: &[Query],
     workers: usize,
     policy: Backpressure,
 ) {
-    let engine = QueryEngine::<Q>::with_queue_backend(env.clone());
+    let engine = QueryEngine::new(env.clone());
     let expect: Vec<Result<_, TnnError>> = queries.iter().map(|q| engine.run(q)).collect();
     let server = Server::spawn_engine(
         engine,
@@ -100,7 +96,7 @@ fn assert_serve_equals_engine<Q: CandidateQueue + 'static>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The full matrix on the production backend: k ∈ {2, 3, 4} ×
+    /// The full matrix: k ∈ {2, 3, 4} ×
     /// workers ∈ {1, 2, 4} × {Block, Reject, Shed}, over a generated
     /// environment, query points, phases, and ANN factor.
     #[test]
@@ -130,12 +126,9 @@ proptest! {
         queries.extend(query_mix(Point::new(qx2, qy2), k, &query_phases, ann_factor, 0));
         for workers in [1usize, 2, 4] {
             for policy in [Backpressure::Block, Backpressure::Reject, Backpressure::Shed] {
-                assert_serve_equals_engine::<ArrivalHeap>(&env, &queries, workers, policy);
+                assert_serve_equals_engine(&env, &queries, workers, policy);
             }
         }
-        // Paper-literal backend spot check: the server is backend-generic,
-        // answers must not depend on the queue discipline either.
-        assert_serve_equals_engine::<LinearQueue>(&env, &queries, 2, Backpressure::Block);
     }
 }
 

@@ -16,9 +16,9 @@
 //!   ([`ShedDiscipline::ExpiredFirst`] evicts already-dead work before
 //!   sacrificing anything still viable);
 //! * [`ResultCache`] — a sharded, lock-striped, O(1) LRU result cache
-//!   with optional entry TTL and hit/miss/expired accounting;
-//! * [`FlightTable`] — singleflight coalescing of concurrent identical
-//!   cache misses: one leader computes, followers share its handle.
+//!   with optional entry TTL and hit/miss/expired accounting. It is the
+//!   serving layer's only dedupe mechanism: `tnn-serve` probes it at
+//!   admission and again at dequeue.
 //!
 //! The crate is deliberately **dependency-free and generic**: the queue
 //! holds any item type and the cache any `Hash + Eq` key, so the
@@ -33,7 +33,6 @@
 
 mod cache;
 mod deadline;
-mod flight;
 mod priority;
 mod queue;
 mod retry;
@@ -41,7 +40,6 @@ mod spec;
 
 pub use cache::{CacheConfig, CacheStats, Lookup, ResultCache};
 pub use deadline::Deadline;
-pub use flight::{FlightOutcome, FlightTable};
 pub use priority::Priority;
 pub use queue::{MultiLevelQueue, ShedDiscipline};
 pub use retry::{RetryBudget, RetryPolicy};

@@ -147,16 +147,6 @@ pub struct ServeConfig {
     /// from occupying workers with backoff sleeps that Interactive
     /// traffic then queues behind.
     pub retry_budget: [u64; Priority::COUNT],
-    /// Coalesce concurrent identical cache misses into one engine run
-    /// (singleflight): the first miss of a key leads and executes, and
-    /// while it is in flight every further submission of the same key
-    /// joins its ticket instead of queueing a duplicate job
-    /// ([`crate::ServeStats::cache_coalesced`]). Off by default; takes
-    /// effect only when the result cache is active (queries need cache
-    /// identities to coalesce by) and the server runs without a fault
-    /// plan (followers share the leader's outcome byte-for-byte, which
-    /// injected faults and degraded fallbacks would break).
-    pub singleflight: bool,
     /// Cross-layer query tracing ([`TraceConfig::Off`] by default).
     /// When on, workers stamp per-query phase spans (admission wait,
     /// queue residency, cache probe, engine run, retry backoff) and a
@@ -189,7 +179,6 @@ impl ServeConfig {
             degradation: Degradation::Fail,
             max_worker_restarts: 32,
             retry_budget: [0; Priority::COUNT],
-            singleflight: false,
             trace: TraceConfig::Off,
         }
     }
@@ -262,10 +251,11 @@ impl ServeConfig {
         self
     }
 
-    /// Enables (or disables) singleflight coalescing of concurrent
-    /// identical cache misses.
-    pub fn singleflight(mut self, enabled: bool) -> Self {
-        self.singleflight = enabled;
+    /// Does nothing. Identical work is deduplicated by the result cache
+    /// alone, probed at admission and again at dequeue; see
+    /// [`ServeConfig::cache`].
+    #[deprecated(note = "no-op: the result cache is the only dedupe path")]
+    pub fn singleflight(self, _enabled: bool) -> Self {
         self
     }
 
@@ -312,7 +302,6 @@ mod tests {
             .degradation(Degradation::Approximate)
             .max_worker_restarts(2)
             .retry_budget(Priority::Background, 64)
-            .singleflight(true)
             .trace(TraceConfig::on());
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_capacity, 7);
@@ -324,7 +313,6 @@ mod tests {
         assert_eq!(cfg.degradation, Degradation::Approximate);
         assert_eq!(cfg.max_worker_restarts, 2);
         assert_eq!(cfg.retry_budget[Priority::Background.index()], 64);
-        assert!(cfg.singleflight);
         assert!(cfg.trace.is_on());
         assert!(ServeConfig::new().workers >= 1);
         assert_eq!(ServeConfig::new().backpressure, Backpressure::Block);
@@ -334,10 +322,20 @@ mod tests {
         assert_eq!(ServeConfig::new().degradation, Degradation::Fail);
         assert_eq!(ServeConfig::new().retry_budget, [0; Priority::COUNT]);
         assert!(ServeConfig::new().retry.max_attempts > 1);
-        // Coalescing is opt-in: plain spawns keep one-job-per-submission.
-        assert!(!ServeConfig::new().singleflight);
         // Tracing is opt-in: plain spawns keep the exact untraced path.
         assert!(!ServeConfig::new().trace.is_on());
+    }
+
+    #[test]
+    #[allow(deprecated)]
+    fn singleflight_is_a_deprecated_no_op() {
+        for cfg in [
+            ServeConfig::new(),
+            ServeConfig::new().workers(2).batch_window(1),
+        ] {
+            assert_eq!(cfg.singleflight(true), cfg);
+            assert_eq!(cfg.singleflight(false), cfg);
+        }
     }
 
     #[test]

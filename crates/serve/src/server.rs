@@ -15,15 +15,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tnn_broadcast::MultiChannelEnv;
-use tnn_core::{
-    Algorithm, ArrivalHeap, CandidateQueue, Query, QueryEngine, QueryKey, QueryOutcome,
-    QueryScratch, TnnError,
-};
+use tnn_core::{Algorithm, Query, QueryEngine, QueryKey, QueryOutcome, QueryScratch, TnnError};
 use tnn_faults::{FaultInjector, FaultPlan, FaultStats};
-use tnn_qos::{
-    Deadline, FlightOutcome, FlightTable, Lookup, MultiLevelQueue, Priority, Qos, ResultCache,
-    RetryBudget,
-};
+use tnn_qos::{Deadline, Lookup, MultiLevelQueue, Priority, Qos, ResultCache, RetryBudget};
 use tnn_trace::{FlightRecorder, LatencyHistogram, MetricsRegistry, QueryTrace, SpanKind};
 
 /// Admission/completion counters of one priority class.
@@ -148,11 +142,11 @@ pub struct ServeStats {
     /// replayed under a full-fidelity key), or a job abandoned by a
     /// dying worker.
     pub cache_bypass: u64,
-    /// Completions coalesced onto another submission's in-flight engine
-    /// run ([`ServeConfig::singleflight`]): the follower's ticket shares
-    /// the leader's outcome, so the engine ran once for the whole
-    /// flight. The leader itself is classified by its own cache outcome
-    /// (`cache_misses` or `cache_expired`), never here.
+    /// Always 0. The server deduplicates identical work through the
+    /// result cache alone (probed at admission and again at dequeue), so
+    /// no completion is ever coalesced onto another's engine run. The
+    /// field stays for callers that still read it; it adds 0 to
+    /// [`ServeStats::conserved`] and [`ServeStats::merge`].
     pub cache_coalesced: u64,
     /// Total retry attempts over all classes.
     pub retried: u64,
@@ -178,7 +172,7 @@ impl ServeStats {
     ///    sum to the totals;
     /// 3. every completion is classified by exactly one cache outcome
     ///    (`completed = cache_hits + cache_misses + cache_expired +
-    ///    cache_bypass + cache_coalesced`).
+    ///    cache_bypass + cache_coalesced`, the last always 0).
     ///
     /// Holds for every snapshot; after a shutdown `queued` and
     /// `in_flight` are 0, so clause 1 reduces to `submitted = rejected +
@@ -364,11 +358,6 @@ impl ServeStats {
             self.cache_bypass,
         );
         registry.counter(
-            "tnn_serve_cache_coalesced_total",
-            "Completions coalesced onto an in-flight engine run",
-            self.cache_coalesced,
-        );
-        registry.counter(
             "tnn_serve_worker_restarts_total",
             "Worker serving rounds that panicked and respawned",
             self.worker_restarts,
@@ -388,10 +377,6 @@ struct Job {
     /// The admission probe found a TTL-expired entry: this run refreshes
     /// it (classified `cache_expired`, not `cache_misses`).
     refresh: bool,
-    /// This job leads a singleflight: concurrent identical submissions
-    /// share its cell, and the worker that resolves it must retire the
-    /// flight-table entry so the next miss of the key leads anew.
-    lead: bool,
     /// Admission sequence number — the logical clock every fault
     /// decision is keyed by (see [`FaultPlan`]), assigned under the
     /// state lock at enqueue.
@@ -444,7 +429,6 @@ struct State {
     cache_misses: u64,
     cache_expired: u64,
     cache_bypass: u64,
-    cache_coalesced: u64,
     /// Next admission sequence number (assigned to enqueued jobs only,
     /// so a single-threaded submitter gets a deterministic numbering).
     next_seq: u64,
@@ -461,17 +445,6 @@ impl State {
     }
 }
 
-impl Inner {
-    /// Removes `key`'s singleflight entry (if flights are on and the
-    /// job had a cache identity) — called by whichever path resolved a
-    /// leader's cell, so the key's next miss leads a fresh engine run.
-    fn retire_flight(&self, key: &Option<QueryKey>) {
-        if let (Some(flights), Some(key)) = (&self.flights, key) {
-            flights.complete(key);
-        }
-    }
-}
-
 struct Inner {
     state: Mutex<State>,
     /// Wakes workers when jobs arrive (or shutdown begins).
@@ -480,12 +453,6 @@ struct Inner {
     space: Condvar,
     /// The shared result cache; `None` when disabled by configuration.
     cache: Option<ResultCache<QueryKey, QueryOutcome>>,
-    /// In-flight engine runs by cache key, for singleflight coalescing;
-    /// `None` unless [`ServeConfig::singleflight`] is on, the cache is
-    /// active, and no fault plan is installed (injected faults and
-    /// degraded fallbacks would break the share-the-leader's-bytes
-    /// contract).
-    flights: Option<FlightTable<QueryKey, Arc<TicketCell>>>,
     /// The fault schedule workers execute under; `None` for servers
     /// spawned without one (the plain [`Server::spawn`] path keeps the
     /// exact PR 5 hot path — not even a zero-plan probe per job).
@@ -546,13 +513,13 @@ struct Inner {
 /// assert!(stats.conserved());
 /// assert_eq!(stats.cache_hits, 1);
 /// ```
-pub struct Server<Q: CandidateQueue + 'static = ArrivalHeap> {
+pub struct Server {
     inner: Arc<Inner>,
-    engine: QueryEngine<Q>,
+    engine: QueryEngine,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Server<ArrivalHeap> {
+impl Server {
     /// Spawns a server over `env` with the production heap-ordered queue
     /// backend. See [`Server::spawn_engine`] for the full contract.
     pub fn spawn(env: MultiChannelEnv, config: ServeConfig) -> Self {
@@ -565,9 +532,7 @@ impl Server<ArrivalHeap> {
     pub fn spawn_with_faults(env: MultiChannelEnv, config: ServeConfig, plan: FaultPlan) -> Self {
         Server::spawn_engine_with_faults(QueryEngine::new(env), config, plan)
     }
-}
 
-impl<Q: CandidateQueue + 'static> Server<Q> {
     /// Spawns `config.workers` worker threads over (clones of) `engine`.
     ///
     /// `config.workers = 0` is allowed and means a *paused* server:
@@ -575,7 +540,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
     /// executes; [`Server::shutdown`] then resolves the backlog as
     /// cancelled regardless of mode. `queue_capacity` and `batch_window`
     /// are clamped to at least 1.
-    pub fn spawn_engine(engine: QueryEngine<Q>, config: ServeConfig) -> Self {
+    pub fn spawn_engine(engine: QueryEngine, config: ServeConfig) -> Self {
         Server::spawn_engine_faulted(engine, config, None)
     }
 
@@ -592,7 +557,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
     /// (gated by `crates/bench/tests/fault_equivalence.rs`). Read the
     /// injected-fault tallies back with [`Server::fault_stats`].
     pub fn spawn_engine_with_faults(
-        engine: QueryEngine<Q>,
+        engine: QueryEngine,
         config: ServeConfig,
         plan: FaultPlan,
     ) -> Self {
@@ -600,7 +565,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
     }
 
     fn spawn_engine_faulted(
-        engine: QueryEngine<Q>,
+        engine: QueryEngine,
         config: ServeConfig,
         faults: Option<FaultInjector>,
     ) -> Self {
@@ -613,8 +578,6 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
         // every query, and errors are never cached.
         let cache = (config.cache.enabled && engine.channels() >= 2)
             .then(|| ResultCache::new(config.cache));
-        let flights =
-            (config.singleflight && cache.is_some() && faults.is_none()).then(FlightTable::new);
         let recorder = config.trace.recorder().map(FlightRecorder::new);
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
@@ -625,14 +588,12 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
                 cache_misses: 0,
                 cache_expired: 0,
                 cache_bypass: 0,
-                cache_coalesced: 0,
                 next_seq: 0,
                 worker_restarts: 0,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
             cache,
-            flights,
             faults,
             budget: RetryBudget::new(config.retry_budget),
             recorder,
@@ -658,7 +619,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
 
     /// The engine the workers execute against (workers hold O(1) clones
     /// sharing this environment).
-    pub fn engine(&self) -> &QueryEngine<Q> {
+    pub fn engine(&self) -> &QueryEngine {
         &self.engine
     }
 
@@ -891,48 +852,18 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
                 Lookup::Miss => {}
             }
         }
-        // Singleflight: a live in-flight run of this exact key absorbs
-        // the miss — the follower's ticket reads the leader's cell, no
-        // job is enqueued, and the engine runs once for the whole
-        // flight. Otherwise this submission becomes the leader and must
-        // retire the flight entry on every exit path below.
-        let cell = TicketCell::new();
-        let mut lead = false;
-        if let (Some(flights), Some(candidate)) = (&self.inner.flights, &key) {
-            match flights.join_or_lead(candidate, Arc::clone(&cell), |c| !c.is_resolved()) {
-                FlightOutcome::Joined(leader) => {
-                    state.classes[class].accepted += 1;
-                    state.classes[class].completed += 1;
-                    state.cache_coalesced += 1;
-                    state.classes[class]
-                        .latency
-                        .record(Instant::now().saturating_duration_since(submitted_at));
-                    let cell = leader;
-                    return (state, Ok(Ticket { cell, submitted_at }), false);
-                }
-                FlightOutcome::Led => lead = true,
-            }
-        }
         let capacity = self.inner.config.lane_capacity(qos.priority);
         loop {
             if state.shutdown.is_some() {
                 state.classes[class].rejected += 1;
-                // Followers already on this flight share the leader's
-                // fate; the entry must not outlive it.
-                if lead {
-                    cell.resolve(Err(TnnError::Cancelled));
-                    self.inner.retire_flight(&key);
-                }
                 return (state, Err(TnnError::Cancelled), false);
             }
             // The deadline can pass while Block-waiting for a slot.
             if qos.deadline.expired(Instant::now()) {
                 state.classes[class].accepted += 1;
                 state.classes[class].expired += 1;
+                let cell = TicketCell::new();
                 cell.resolve(Err(TnnError::DeadlineExceeded));
-                if lead {
-                    self.inner.retire_flight(&key);
-                }
                 return (state, Ok(Ticket { cell, submitted_at }), false);
             }
             if state.queue.len_of(qos.priority) < capacity {
@@ -966,10 +897,6 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
                 }
                 Backpressure::Reject => {
                     state.classes[class].rejected += 1;
-                    if lead {
-                        cell.resolve(Err(TnnError::Overloaded));
-                        self.inner.retire_flight(&key);
-                    }
                     return (state, Err(TnnError::Overloaded), false);
                 }
                 Backpressure::Shed => {
@@ -988,12 +915,6 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
                         state.classes[victim.class.index()].shed += 1;
                         victim.cell.resolve(Err(TnnError::Overloaded));
                     }
-                    // An evicted leader's flight dies with it: retire
-                    // the entry so the key's next miss leads a fresh
-                    // run instead of probing a resolved cell.
-                    if victim.lead {
-                        self.inner.retire_flight(&victim.key);
-                    }
                     break;
                 }
             }
@@ -1001,6 +922,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
         state.classes[class].accepted += 1;
         let seq = state.next_seq;
         state.next_seq += 1;
+        let cell = TicketCell::new();
         state.queue.push_back(
             qos.priority,
             Job {
@@ -1010,7 +932,6 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
                 deadline: qos.deadline,
                 key,
                 refresh,
-                lead,
                 seq,
                 submitted_at,
                 enqueued_at: self.inner.recorder.is_some().then(Instant::now),
@@ -1027,7 +948,6 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
             cache_misses: state.cache_misses,
             cache_expired: state.cache_expired,
             cache_bypass: state.cache_bypass,
-            cache_coalesced: state.cache_coalesced,
             worker_restarts: state.worker_restarts,
             ..ServeStats::default()
         };
@@ -1169,7 +1089,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
     }
 }
 
-impl<Q: CandidateQueue + 'static> Drop for Server<Q> {
+impl Drop for Server {
     fn drop(&mut self) {
         let live = !self
             .workers
@@ -1263,7 +1183,7 @@ enum Executed {
 /// pool-wide. Beyond the bound the server assumes a crash loop and fails
 /// closed: emergency [`ShutdownMode::Cancel`] so submitters fail fast
 /// instead of feeding a dying pool.
-fn worker_loop<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
+fn worker_loop(inner: &Inner, engine: &QueryEngine) {
     loop {
         if catch_unwind(AssertUnwindSafe(|| worker_rounds(inner, engine))).is_ok() {
             return; // clean shutdown
@@ -1294,7 +1214,7 @@ fn worker_loop<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
 /// non-degraded outcomes), resolve each ticket, repeat until shutdown.
 /// May unwind mid-batch under an injected worker kill; [`worker_loop`]
 /// catches and respawns.
-fn worker_rounds<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
+fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
     let mut scratch = engine.scratch();
     let mut local: Vec<Job> = Vec::with_capacity(inner.config.batch_window);
     'serve: loop {
@@ -1382,9 +1302,6 @@ fn worker_rounds<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
             // not run — the worker's time goes to viable work.
             if job.deadline.expired(now) {
                 job.cell.resolve(Err(TnnError::DeadlineExceeded));
-                if job.lead {
-                    inner.retire_flight(&job.key);
-                }
                 guard.expired[class] += 1;
                 if let Some(t) = trace.as_mut() {
                     t.errored = true;
@@ -1431,9 +1348,6 @@ fn worker_rounds<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
                                 stamp_counters(t, &outcome);
                             }
                             job.cell.resolve(Ok(outcome));
-                            if job.lead {
-                                inner.retire_flight(&job.key);
-                            }
                             guard.completed[class] += 1;
                             guard.latency[class]
                                 .record(Instant::now().saturating_duration_since(job.submitted_at));
@@ -1471,9 +1385,6 @@ fn worker_rounds<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
                 Executed::Expired { retries } => {
                     guard.retried[class] += retries;
                     job.cell.resolve(Err(TnnError::DeadlineExceeded));
-                    if job.lead {
-                        inner.retire_flight(&job.key);
-                    }
                     guard.expired[class] += 1;
                     if let Some(t) = trace.as_mut() {
                         t.attempts = retries as u32;
@@ -1490,9 +1401,8 @@ fn worker_rounds<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
                     // `cacheable` implies a key and a cache were present
                     // at dispatch; matching on all three keeps the
                     // worker panic-free if that coupling ever breaks.
-                    // Inserted *before* the leader's cell resolves so a
-                    // miss that arrives as the flight retires finds the
-                    // fresh entry waiting in the cache.
+                    // Inserted *before* the cell resolves, so a client
+                    // that resubmits on seeing its answer hits.
                     match (&result, &key, &inner.cache) {
                         (Ok(outcome), Some(key), Some(cache)) if cacheable && !degraded => {
                             cache.insert(key.clone(), outcome.clone(), Instant::now());
@@ -1515,9 +1425,6 @@ fn worker_rounds<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
                         }
                     }
                     job.cell.resolve(result);
-                    if job.lead {
-                        inner.retire_flight(&job.key);
-                    }
                     guard.completed[class] += 1;
                     guard.latency[class]
                         .record(Instant::now().saturating_duration_since(job.submitted_at));
@@ -1574,12 +1481,12 @@ struct LadderTimings {
 /// [`RetryBudget`], and the job's deadline — a retry never outlives the
 /// submitter's deadline), and exhausting the ladder falls through to the
 /// configured [`Degradation`].
-fn run_job<Q: CandidateQueue>(
+fn run_job(
     inner: &Inner,
-    engine: &QueryEngine<Q>,
+    engine: &QueryEngine,
     env: &MultiChannelEnv,
     job: &Job,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
     timings: &mut LadderTimings,
 ) -> Executed {
     let Some(faults) = &inner.faults else {
@@ -1634,11 +1541,11 @@ fn run_job<Q: CandidateQueue>(
 /// [`TnnError::Internal`] instead of killing the worker, and the scratch
 /// — which may hold arbitrary partial state after an unwind — is
 /// replaced before reuse.
-fn run_isolated<Q: CandidateQueue>(
-    engine: &QueryEngine<Q>,
+fn run_isolated(
+    engine: &QueryEngine,
     env: &MultiChannelEnv,
     query: &Query,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
     inject_panic: bool,
 ) -> Result<QueryOutcome, TnnError> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -1663,12 +1570,12 @@ fn run_isolated<Q: CandidateQueue>(
 /// model a replica or a cheaper code path that does not contend for the
 /// faulty channels), and any outcome they produce is tagged
 /// [`QueryOutcome::degraded`] — delivered to the client, never cached.
-fn degrade<Q: CandidateQueue>(
+fn degrade(
     inner: &Inner,
-    engine: &QueryEngine<Q>,
+    engine: &QueryEngine,
     env: &MultiChannelEnv,
     job: &Job,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
     err: TnnError,
 ) -> Result<QueryOutcome, TnnError> {
     let fallback = match inner.config.degradation {

@@ -1,14 +1,15 @@
 //! Behavioural tests for serving under data churn: environment swaps
 //! must kill stale cache entries (epoch-stamped keys), post-swap
 //! answers must match a fresh engine over the new data, and identical
-//! concurrent misses must coalesce into one engine run (singleflight).
+//! queued misses must run the engine once — the duplicates hit the
+//! result cache at dequeue, with or without a fault plan.
 
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_core::{Query, TnnError};
 use tnn_geom::{Point, Rect};
 use tnn_rtree::{PackingAlgorithm, RTree};
-use tnn_serve::{ServeConfig, Server, ShutdownMode};
+use tnn_serve::{ChannelFaults, FaultPlan, MetricsRegistry, ServeConfig, Server, ShutdownMode};
 
 fn env_seeded(k: usize, seed: u64) -> MultiChannelEnv {
     let params = BroadcastParams::new(64);
@@ -105,49 +106,106 @@ fn swap_env_rejects_shape_changes() {
     server.shutdown(ShutdownMode::Drain);
 }
 
-/// N identical queries admitted in one batch collapse into a single
-/// engine run under singleflight: one miss leads, the rest join its
-/// flight and resolve from the leader's result — byte-identical, with
-/// the followers counted as `cache_coalesced`.
-#[test]
-fn identical_concurrent_misses_coalesce_into_one_run() {
-    let env = env_seeded(2, 0xF11E);
-    let server = Server::spawn(
-        env.clone(),
-        ServeConfig::new()
-            .workers(1)
-            .queue_capacity(64)
-            .singleflight(true),
-    );
+/// Submits eight copies of one query as a single batch to a 1-worker
+/// caching server and checks the dedupe bookkeeping. The batch is
+/// admitted under one queue-lock acquisition, so all eight admission
+/// probes miss before the worker runs anything. The worker then runs
+/// the first copy (one miss) and answers the other seven from the
+/// cache at dequeue. Every answer must be byte-equal to the engine.
+fn assert_queued_duplicates_hit_at_dequeue(server: &Server) {
     let query = Query::order_free(Point::new(250.0, 750.0)).issued_at(5);
     let want = server.engine().run(&query).unwrap();
-
-    // One batch, one queue-lock acquisition: all eight are admitted
-    // before the worker can run any of them, so exactly one leads.
     let tickets = server.submit_batch(std::iter::repeat_n(query, 8));
     for ticket in tickets {
         let outcome = ticket.unwrap().wait().unwrap();
-        assert_eq!(outcome, want, "followers share the leader's bytes");
+        assert_eq!(outcome, want, "a dequeue hit replays the engine's bytes");
     }
+    let cache = server.cache_stats().expect("caching server");
+    // 8 admission misses + 1 dequeue miss; 7 dequeue hits.
+    assert_eq!((cache.misses, cache.hits), (9, 7), "{cache:?}");
     let stats = server.shutdown(ShutdownMode::Drain);
     assert_eq!(stats.cache_misses, 1, "one engine run for eight arrivals");
-    assert_eq!(stats.cache_coalesced, 7, "{stats:?}");
+    assert_eq!(stats.cache_hits, 7, "{stats:?}");
     assert_eq!(stats.completed, 8);
     assert!(stats.conserved(), "{stats:?}");
 }
 
-/// Without the singleflight flag the same batch runs (or cache-hits)
-/// each query individually — coalescing is strictly opt-in.
+/// Identical queued misses run the engine once: the duplicates hit the
+/// result cache at dequeue.
 #[test]
-fn singleflight_is_opt_in() {
-    let server = Server::spawn(env_seeded(2, 0xF12E), ServeConfig::new().workers(1));
-    let query = Query::order_free(Point::new(250.0, 750.0)).issued_at(5);
-    let tickets = server.submit_batch(std::iter::repeat_n(query, 4));
-    for ticket in tickets {
-        ticket.unwrap().wait().unwrap();
+fn identical_queued_misses_run_the_engine_once() {
+    let server = Server::spawn(
+        env_seeded(2, 0xF11E),
+        ServeConfig::new().workers(1).queue_capacity(64),
+    );
+    assert_queued_duplicates_hit_at_dequeue(&server);
+}
+
+/// The same dedupe holds under a fault plan. The plan panics the engine
+/// run of every duplicate (seqs 1..=7), so any duplicate that ran the
+/// engine would resolve `Internal`. Dequeue hits need no tune-in: only
+/// the first copy tunes in, and no panic fires.
+#[test]
+fn identical_queued_misses_dedupe_under_a_fault_plan() {
+    let plan = (1..=7).fold(
+        FaultPlan::new(0x5EED).all_channels(2, ChannelFaults::default().jitter(3)),
+        FaultPlan::panic_at,
+    );
+    let server = Server::spawn_with_faults(
+        env_seeded(2, 0xF11E),
+        ServeConfig::new().workers(1).queue_capacity(64),
+        plan,
+    );
+    assert_queued_duplicates_hit_at_dequeue(&server);
+    let faults = server.fault_stats().expect("faulted spawn");
+    assert_eq!(faults.clean_rounds, 1, "only the first copy tunes in");
+    assert_eq!(faults.engine_panics, 0, "{faults:?}");
+}
+
+/// Concurrent identical misses on separate workers each run the engine:
+/// nothing coalesces them. Each worker misses at most once, because its
+/// own insert lands before it probes again, so the cost is bounded by
+/// the worker count. Every answer is still byte-equal to the engine.
+#[test]
+fn concurrent_misses_on_separate_workers_each_run_and_agree() {
+    let workers = 4;
+    let server = Server::spawn(
+        env_seeded(2, 0xF13E),
+        ServeConfig::new()
+            .workers(workers)
+            .queue_capacity(64)
+            .batch_window(1),
+    );
+    let query = Query::tnn(Point::new(610.0, 140.0)).issued_at(2);
+    let want = server.engine().run(&query).unwrap();
+    for ticket in server.submit_batch(std::iter::repeat_n(query, 16)) {
+        assert_eq!(ticket.unwrap().wait().unwrap(), want);
     }
     let stats = server.shutdown(ShutdownMode::Drain);
+    assert_eq!(stats.cache_hits + stats.cache_misses, 16, "{stats:?}");
+    assert!(
+        (1..=workers as u64).contains(&stats.cache_misses),
+        "{stats:?}"
+    );
     assert_eq!(stats.cache_coalesced, 0);
-    assert_eq!(stats.cache_hits + stats.cache_misses, 4);
     assert!(stats.conserved(), "{stats:?}");
+}
+
+/// The published cache-outcome families are the four live ones; the
+/// always-zero `cache_coalesced` field is not exported.
+#[test]
+fn published_cache_outcomes_omit_coalesced() {
+    let server = Server::spawn(env_seeded(2, 0xF14E), ServeConfig::new().workers(1));
+    let query = Query::tnn(Point::new(90.0, 420.0));
+    server.submit(query.clone()).unwrap().wait().unwrap();
+    server.submit(query).unwrap().wait().unwrap();
+    let registry = MetricsRegistry::new();
+    server.publish_metrics(&registry);
+    let text = registry.render_prometheus();
+    for family in ["hits", "misses", "expired", "bypass"] {
+        let series = format!("tnn_serve_cache_{family}_total");
+        assert!(text.contains(&series), "missing {series}:\n{text}");
+    }
+    assert!(!text.contains("coalesced"), "{text}");
+    server.shutdown(ShutdownMode::Drain);
 }

@@ -1,6 +1,8 @@
 //! Behavioural tests for the QoS layer: deadline enforcement at all
 //! three points (admission, shed, dequeue), the expiry-aware Shed
-//! redesign, per-class lanes and stats, and the result-cache lifecycle.
+//! redesign, per-class lanes and stats, the result-cache lifecycle, and
+//! ticket-to-counter accounting: every resolution is booked under the
+//! counter that names it.
 
 // R1-approved timing module (see check/r1.allow): wall-clock calls are
 // deliberate here, so the clippy mirror of the rule is waived file-wide.
@@ -13,7 +15,8 @@ use tnn_core::{Query, TnnError};
 use tnn_geom::{Point, Rect};
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{
-    Backpressure, CacheConfig, Priority, Qos, ServeConfig, Server, ShedDiscipline, ShutdownMode,
+    Backpressure, CacheConfig, Priority, Qos, ServeConfig, ServeStats, Server, ShedDiscipline,
+    ShutdownMode, Ticket,
 };
 
 fn env(k: usize) -> MultiChannelEnv {
@@ -455,4 +458,149 @@ fn cancel_shutdown_accounts_per_class() {
     for ticket in &tickets {
         assert_eq!(ticket.wait(), Err(TnnError::Cancelled));
     }
+}
+
+/// How a set of tickets resolved, per class, in the buckets the server
+/// books resolutions under.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Booked {
+    completed: u64,
+    cancelled: u64,
+    expired: u64,
+    shed: u64,
+}
+
+/// Every ticket's resolution must match the counter it was booked
+/// under: `Ok` (or an engine error) means `completed`, `Cancelled` means
+/// `cancelled`, `DeadlineExceeded` means `expired`, `Overloaded` means
+/// `shed` — per class.
+fn assert_books_match(tickets: &[(Priority, Ticket)], stats: &ServeStats) {
+    let mut seen = [Booked::default(); Priority::COUNT];
+    for (class, ticket) in tickets {
+        let row = &mut seen[class.index()];
+        match ticket.wait() {
+            Err(TnnError::Cancelled) => row.cancelled += 1,
+            Err(TnnError::DeadlineExceeded) => row.expired += 1,
+            Err(TnnError::Overloaded) => row.shed += 1,
+            _ => row.completed += 1,
+        }
+    }
+    for class in Priority::ALL {
+        let c = stats.class(class);
+        let booked = Booked {
+            completed: c.completed,
+            cancelled: c.cancelled,
+            expired: c.expired,
+            shed: c.shed,
+        };
+        assert_eq!(
+            seen[class.index()],
+            booked,
+            "{}: tickets vs counters, {stats:?}",
+            class.name()
+        );
+    }
+    assert!(stats.conserved(), "{stats:?}");
+}
+
+fn submit_as(server: &Server, query: &Query, qos: Qos) -> (Priority, Ticket) {
+    (
+        qos.priority,
+        server.submit_with(query.clone(), qos).unwrap(),
+    )
+}
+
+/// Identical queries across classes on a caching server, cancelled at
+/// shutdown: each ticket resolves `Cancelled` and is booked `cancelled`
+/// in its own class — none may be booked as an answer.
+#[test]
+fn cancelled_identical_queries_are_booked_cancelled_per_class() {
+    let query = Query::tnn(points(1)[0]);
+    let paused = Server::spawn(env(2), ServeConfig::new().workers(0));
+    let classes = [Qos::batch(), Qos::interactive(), Qos::background()];
+    let tickets: Vec<_> = classes
+        .iter()
+        .chain(&classes)
+        .map(|&qos| submit_as(&paused, &query, qos))
+        .collect();
+    let stats = paused.shutdown(ShutdownMode::Cancel);
+    assert_books_match(&tickets, &stats);
+    for class in Priority::ALL {
+        let c = stats.class(class);
+        assert_eq!((c.cancelled, c.completed), (2, 0), "{}", class.name());
+    }
+
+    // A live server, cancelled mid-stream: whichever tickets the worker
+    // or the cache answered first are booked `completed`, the rest
+    // `cancelled`.
+    let live = Server::spawn(env(2), ServeConfig::new().workers(1));
+    let prime = submit_as(&live, &query, Qos::batch());
+    prime.1.wait().unwrap();
+    let mut tickets = vec![prime];
+    let fresh = Query::tnn(points(2)[1]);
+    for qos in classes {
+        tickets.push(submit_as(&live, &query, qos)); // admission hit
+        tickets.push(submit_as(&live, &fresh, qos)); // miss, then dequeue hits
+    }
+    let stats = live.shutdown(ShutdownMode::Cancel);
+    assert_books_match(&tickets, &stats);
+    assert!(stats.cache_hits >= 3, "{stats:?}");
+}
+
+/// Identical queries across classes on a caching server under short
+/// per-job deadlines: each ticket that resolves `DeadlineExceeded` is
+/// booked `expired` in its own class, and each answer `completed`.
+#[test]
+fn expired_identical_queries_are_booked_expired_per_class() {
+    let query = Query::tnn(points(1)[0]);
+    let short = Duration::from_millis(20);
+
+    // Expiry while blocked: on a paused server with one slot per lane,
+    // the first copy in each class fills the lane and the second, with
+    // a deadline, blocks until the deadline passes.
+    let paused = Server::spawn(
+        env(2),
+        ServeConfig::new()
+            .workers(0)
+            .queue_capacity(1)
+            .backpressure(Backpressure::Block),
+    );
+    let mut tickets = Vec::new();
+    for qos in [Qos::batch(), Qos::interactive(), Qos::background()] {
+        tickets.push(submit_as(&paused, &query, qos));
+        tickets.push(submit_as(&paused, &query, qos.deadline_in(short)));
+    }
+    let stats = paused.shutdown(ShutdownMode::Cancel);
+    assert_books_match(&tickets, &stats);
+    for class in Priority::ALL {
+        let c = stats.class(class);
+        assert_eq!((c.expired, c.cancelled), (1, 1), "{}", class.name());
+    }
+
+    // Expiry at dequeue: behind a wall of distinct work, the first copy
+    // carries a 1 ms deadline and dies in the queue; the copies in the
+    // other classes carry none, so one runs and the other hits the
+    // cache at dequeue.
+    let live = Server::spawn(env(2), ServeConfig::new().workers(1).batch_window(4));
+    let wall = points(300)
+        .into_iter()
+        .map(|p| (Query::tnn(p), Qos::interactive()));
+    let copies = [
+        Qos::interactive().deadline_in(Duration::from_millis(1)),
+        Qos::batch(),
+        Qos::background(),
+    ];
+    let submissions: Vec<_> = wall
+        .chain(copies.iter().map(|&qos| (query.clone(), qos)))
+        .collect();
+    let classes: Vec<_> = submissions.iter().map(|(_, qos)| qos.priority).collect();
+    let tickets: Vec<_> = classes
+        .into_iter()
+        .zip(live.submit_batch_qos(submissions))
+        .map(|(class, ticket)| (class, ticket.unwrap()))
+        .collect();
+    let stats = live.shutdown(ShutdownMode::Drain);
+    assert_books_match(&tickets, &stats);
+    assert_eq!(stats.class(Priority::Batch).completed, 1);
+    assert_eq!(stats.class(Priority::Background).completed, 1);
 }

@@ -44,7 +44,7 @@
 //!    is the CI chaos smoke gate — and reports per-class p50/p99 from
 //!    the server-side [`tnn_serve::ServeStats`] latency histograms.
 //! 8. **Churn axis** (k = 2, `--churn` only) — a skewed repeat-query
-//!    workload against a caching, singleflight server whose environment
+//!    workload against a caching server whose environment
 //!    is swapped (`Server::swap_env`) between rounds: every channel's
 //!    data is replaced and the epoch bumped. The binary *asserts* — the
 //!    CI churn smoke gate — that the epoch actually advanced, that the
@@ -924,8 +924,8 @@ fn main() {
     }
 
     // --- Churn axis (k = 2, `--churn` only): environment swaps between
-    // rounds of a skewed repeat-query workload through a caching,
-    // singleflight server. Round 0 primes the cache; every later round
+    // rounds of a skewed repeat-query workload through a caching
+    // server. Round 0 primes the cache; every later round
     // swaps in freshly rebuilt channel data first (epoch +1), so its
     // repeats would hit *stale* entries if cache keys ignored the
     // environment's identity. The asserts below ARE the CI churn smoke
@@ -965,7 +965,6 @@ fn main() {
                 .queue_capacity(n)
                 .backpressure(Backpressure::Block)
                 .cache(CacheConfig::new().capacity(2 * pool_n))
-                .singleflight(true)
                 .batch_window(8),
         );
         let mut env = base_env.clone();
@@ -978,7 +977,8 @@ fn main() {
             }
             let reference = tnn_core::QueryEngine::new(env.clone());
             // Two passes per round: the first runs cold at this epoch
-            // (repeats coalesce behind their leader), the second repeats
+            // (repeats queued behind their first occurrence hit the
+            // cache at dequeue), the second repeats
             // the same bytes against a now-warm cache — the exact path a
             // stale entry would poison.
             for _pass in 0..2 {
@@ -1014,15 +1014,14 @@ fn main() {
         let qps = (epochs as usize * 2 * n) as f64 / (elapsed / 1e9);
         eprintln!(
             "churn axis: {} rounds x 2 x {n} queries at {qps:.0} q/s, epoch {final_epoch}, \
-             {} hits / {} misses / {} coalesced, 0 stale",
-            epochs, stats.cache_hits, stats.cache_misses, stats.cache_coalesced
+             {} hits / {} misses, 0 stale",
+            epochs, stats.cache_hits, stats.cache_misses
         );
         records.push((format!("churn/hybrid_{n}q_x{epochs}"), elapsed, 1));
         derived.push(("churn_epoch_bumps".into(), (epochs - 1) as f64));
         derived.push(("churn_stale_answers".into(), stale as f64));
         derived.push(("churn_qps".into(), qps));
         derived.push(("churn_cache_hits".into(), stats.cache_hits as f64));
-        derived.push(("churn_cache_coalesced".into(), stats.cache_coalesced as f64));
     }
 
     // --- Trace axis (k = 2, `--trace` only): a skewed repeat-query
@@ -1157,7 +1156,7 @@ fn main() {
         ""
     };
     let churn_note = if churn {
-        "; k=2 churn axis (caching singleflight server, full-data environment swap per \
+        "; k=2 churn axis (caching server, full-data environment swap per \
          round, every answer checked against a fresh reference engine on the current epoch)"
     } else {
         ""
