@@ -11,12 +11,12 @@
 //!
 //! Every step is generic over the candidate-queue backend of the NN
 //! search tasks (see [`crate::task::queue`]): the default backend is the
-//! heap-ordered production queue, while the feature-gated
-//! `run_query_linear` drives the identical algorithm code over the
-//! paper-literal linear-scan reference for A/B benchmarking. Driven
-//! through [`crate::QueryEngine::run_with`] with a reused
-//! [`QueryScratch`], every growth-prone buffer (NN queues and parked
-//! lists, window queues and hit lists, join order/sweep/DP tables,
+//! heap-ordered production queue, while
+//! `QueryEngine::<LinearQueue>::with_queue_backend` drives the identical
+//! algorithm code over the paper-literal linear-scan reference for the
+//! equivalence tests. Driven through [`crate::QueryEngine::run_with`]
+//! with a reused [`QueryScratch`], every growth-prone buffer (NN queues
+//! and parked lists, window queues and hit lists, join order/sweep/DP tables,
 //! order-free permutation table) is recycled across queries; what
 //! remains per query is a handful of k-element transient vectors (the
 //! estimate task/result fan-out, the filter-task list, and the
@@ -42,9 +42,6 @@ use crate::{Algorithm, ChannelCost, TnnConfig, TnnError, TnnRun};
 use tnn_broadcast::{InlineVec, MultiChannelEnv, PhaseOverlay, Tuner};
 use tnn_geom::{Circle, Point};
 use tnn_rtree::ObjectId;
-
-#[cfg(feature = "linear-reference")]
-use crate::task::queue::LinearQueue;
 
 /// Per-channel estimate-phase tuners, inline up to four channels (the
 /// evaluation's workloads never spill).
@@ -146,38 +143,6 @@ pub fn run_query_impl<Q: CandidateQueue>(
     scratch: &mut QueryScratch<Q>,
 ) -> Result<TnnRun, TnnError> {
     run_query_overlay(&PhaseOverlay::identity(env), p, issued_at, cfg, scratch)
-}
-
-/// [`run_query_impl`] over the paper-literal linear-scan candidate
-/// queues — identical algorithm code, O(n) queue operations. Only for
-/// benchmarks and equivalence tests (the engine equivalent is
-/// `QueryEngine::<LinearQueue>::with_queue_backend`).
-#[cfg(feature = "linear-reference")]
-pub fn run_query_linear(
-    env: &MultiChannelEnv,
-    p: Point,
-    issued_at: u64,
-    cfg: &TnnConfig,
-) -> Result<TnnRun, TnnError> {
-    run_query_impl(
-        env,
-        p,
-        issued_at,
-        cfg,
-        &mut QueryScratch::<LinearQueue>::default(),
-    )
-}
-
-/// [`run_query_linear`] with caller-provided scratch buffers.
-#[cfg(feature = "linear-reference")]
-pub fn run_query_linear_with(
-    env: &MultiChannelEnv,
-    p: Point,
-    issued_at: u64,
-    cfg: &TnnConfig,
-    scratch: &mut QueryScratch<LinearQueue>,
-) -> Result<TnnRun, TnnError> {
-    run_query_impl(env, p, issued_at, cfg, scratch)
 }
 
 /// The queue-generic query pipeline behind every TNN entry point, over a

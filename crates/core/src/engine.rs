@@ -445,8 +445,8 @@ const MAX_POOLED_SCRATCH: usize = 64;
 
 /// The unified query-execution engine over one shared multi-channel
 /// environment, generic over the candidate-queue backend (the default
-/// [`ArrivalHeap`] is the production backend; benchmarks instantiate the
-/// paper-literal linear reference through
+/// [`ArrivalHeap`] is the production backend; the equivalence tests
+/// instantiate the paper-literal linear reference through
 /// [`QueryEngine::with_queue_backend`]).
 ///
 /// See [`Query`] for an end-to-end example. Cloning an engine is O(1)
@@ -486,7 +486,7 @@ impl QueryEngine {
 
 impl<Q: CandidateQueue> QueryEngine<Q> {
     /// An engine over `env` with an explicit candidate-queue backend
-    /// (A/B benchmarking; everyday code wants [`QueryEngine::new`]).
+    /// (equivalence testing; everyday code wants [`QueryEngine::new`]).
     pub fn with_queue_backend(env: MultiChannelEnv) -> Self {
         let channels = env.len();
         QueryEngine {

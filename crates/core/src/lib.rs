@@ -101,6 +101,4 @@ pub use join::{chain_join_with, chain_loop_join_with, tnn_join_with, JoinScratch
 pub use task::{ArrivalHeap, CandidateQueue};
 
 #[cfg(feature = "linear-reference")]
-pub use algorithms::{run_query_linear, run_query_linear_with};
-#[cfg(feature = "linear-reference")]
 pub use task::LinearQueue;

@@ -15,7 +15,7 @@
 //! searches over multiple channels peek every iteration, and batch
 //! simulations run millions of steps. The paper-literal `Vec`-scan queue
 //! is kept as [`LinearNnSearchTask`] (tests and the `linear-reference`
-//! bench feature only); the two must produce byte-identical traces, which
+//! feature only); the two must produce byte-identical traces, which
 //! the property tests below verify across all four algorithms.
 //!
 //! ## Delayed pruning (paper §4.2.4)
@@ -110,7 +110,7 @@ pub struct BroadcastNnSearch<'a, Q: CandidateQueue> {
 pub type NnSearchTask<'a> = BroadcastNnSearch<'a, ArrivalHeap>;
 
 /// The paper-literal reference task (`Vec`-scan queue, O(n) per step).
-/// Exists only so benches and property tests can compare against the
+/// Exists only so property tests can compare against the
 /// pre-optimization behaviour.
 #[cfg(any(test, feature = "linear-reference"))]
 pub type LinearNnSearchTask<'a> = BroadcastNnSearch<'a, LinearQueue>;

@@ -16,9 +16,9 @@ pub enum ShedDiscipline {
     #[default]
     ExpiredFirst,
     /// Always evict the class's oldest item, expired or not — the
-    /// pre-deadline behaviour, kept for the ablation in
-    /// `tnn-sim --bin serve_load` showing why expiry-awareness lowers the
-    /// deadline-miss rate under saturation.
+    /// pre-deadline behaviour. `tnn-serve`'s
+    /// `oldest_first_shed_sacrifices_viable_work` test pins the viable
+    /// work it loses that expiry-aware shedding spares.
     OldestFirst,
 }
 

@@ -1,6 +1,7 @@
 //! Regression tests for the fault-injection serving path: panic
 //! isolation, worker respawn (and its bound), deadline-aware retries,
-//! degradation tagging/caching rules, and retry budgets.
+//! degradation tagging/caching rules, retry budgets, and a mixed chaos
+//! workload that combines them all.
 
 // R1-approved timing module (see check/r1.allow): wall-clock calls are
 // deliberate here, so the clippy mirror of the rule is waived file-wide.
@@ -13,8 +14,8 @@ use tnn_core::{Algorithm, Query, TnnError};
 use tnn_geom::Rect;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{
-    ChannelFaults, Degradation, FaultPlan, Priority, Qos, RetryPolicy, ServeConfig, Server,
-    ShutdownMode,
+    Backpressure, CacheConfig, ChannelFaults, Degradation, FaultPlan, Priority, Qos, RetryPolicy,
+    ServeConfig, Server, ShutdownMode,
 };
 
 fn env(k: usize) -> MultiChannelEnv {
@@ -341,4 +342,70 @@ fn latency_histograms_cover_every_completion() {
     assert!(batch.latency.p50() <= batch.latency.p99());
     assert!(batch.latency.p99() > Duration::ZERO);
     assert!(stats.conserved());
+}
+
+/// A mixed-priority workload under every fault at once — drops plus
+/// jitter on one channel, a periodic outage on the other, one injected
+/// engine panic and two worker kills — served with `Block` and drained:
+/// every ticket resolves (an answer, or `Internal` for the panicked and
+/// the abandoned jobs), nothing is lost, and both killed workers respawn.
+#[test]
+fn chaos_mix_resolves_every_ticket_and_respawns_both_kills() {
+    let n = 96u64;
+    let plan = FaultPlan::new(0xC7A05)
+        .channel(0, ChannelFaults::NONE.drop_rate(80).jitter(2))
+        .channel(1, ChannelFaults::NONE.outage(16, 2))
+        .panic_at(2 * n / 3)
+        .kill_at(n / 8)
+        .kill_at(n / 3);
+    let server = Server::spawn_with_faults(
+        env(2),
+        ServeConfig::new()
+            .workers(2)
+            .queue_capacity(32)
+            .backpressure(Backpressure::Block)
+            .cache(CacheConfig::disabled())
+            .batch_window(4)
+            .retry(
+                RetryPolicy::new()
+                    .max_attempts(6)
+                    .base(Duration::from_micros(50))
+                    .cap(Duration::from_micros(500)),
+            )
+            .degradation(Degradation::Approximate),
+        plan,
+    );
+    // Submitted one at a time from one thread, so every fault draw lands
+    // on a fixed job seq.
+    let tickets: Vec<_> = queries(n as usize)
+        .into_iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let class = Priority::ALL[i % Priority::COUNT];
+            server.submit_with(q, Qos::new().priority(class)).unwrap()
+        })
+        .collect();
+    let mut internal = 0u64;
+    for ticket in &tickets {
+        match ticket.wait() {
+            Ok(_) => {}
+            Err(TnnError::Internal) => internal += 1,
+            Err(other) => panic!("unexpected chaos outcome {other:?}"),
+        }
+    }
+    assert!(internal >= 1, "the injected panic resolves Internal");
+    let faults = server.fault_stats().unwrap();
+    let stats = server.shutdown(ShutdownMode::Drain);
+    assert!(stats.conserved(), "{stats:?}");
+    assert_eq!(stats.completed, n, "Block + Drain completes all: {stats:?}");
+    assert!(
+        faults.injected() > 0,
+        "the plan injected nothing: {faults:?}"
+    );
+    assert_eq!(faults.worker_kills, 2, "both kills fire: {faults:?}");
+    assert_eq!(stats.worker_restarts, 2, "both respawn in place: {stats:?}");
+    assert!(
+        stats.retried > 0,
+        "drops and the outage force retries: {stats:?}"
+    );
 }

@@ -4,8 +4,8 @@
 //! provides just enough of serde's surface for the repo to compile: the
 //! `Serialize` / `Deserialize` marker traits (blanket-implemented) and the
 //! matching no-op derive macros. Nothing in this workspace serializes
-//! through serde — machine-readable artifacts (CSV tables, `BENCH_*.json`)
-//! are written by hand — so the derives only need to exist, not to
+//! through serde — machine-readable artifacts (CSV tables, benchmark
+//! reports) are written by hand — so the derives only need to exist, not to
 //! generate real impls. Replacing this shim with the real `serde` is a
 //! one-line change in the workspace manifest.
 

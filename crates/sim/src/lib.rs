@@ -30,13 +30,11 @@ mod metrics;
 mod report;
 mod runner;
 mod workload;
-mod zipf;
 
 pub use metrics::BatchStats;
 pub use report::{format_table, write_csv, Table};
 pub use runner::{queries_per_batch, run_batch, run_chain_batch, run_tnn_batch, BatchConfig};
 pub use workload::{Catalog, DatasetSpec};
-pub use zipf::ZipfSampler;
 
 #[cfg(feature = "linear-reference")]
-pub use runner::{run_batch_linear, run_tnn_batch_linear};
+pub use runner::run_batch_linear;

@@ -20,7 +20,7 @@
 //! metric samples are written into a pre-sized slot array and reduced
 //! **in query order**, making every [`BatchStats`] bit-identical for a
 //! fixed seed regardless of thread count or scheduling — which is also
-//! what lets the `linear-reference` A/B comparison demand exact equality.
+//! what lets the `linear-reference` equivalence gate demand exact equality.
 
 use crate::metrics::{QuerySample, StatsAccumulator};
 use crate::BatchStats;
@@ -129,7 +129,7 @@ pub fn run_tnn_batch(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> 
 /// linear-scan candidate queues (O(n) per queue operation, eager purge
 /// rescans) and fresh per-query buffer allocations, exactly as the
 /// original implementation behaved. Identical workload and (by
-/// construction) identical [`BatchStats`]. Only for the A/B benchmark.
+/// construction) identical [`BatchStats`]. Only for the equivalence gate.
 #[cfg(feature = "linear-reference")]
 pub fn run_batch_linear(
     s_tree: &Arc<RTree>,
@@ -142,12 +142,6 @@ pub fn run_batch_linear(
         region,
         cfg,
     )
-}
-
-/// [`run_tnn_batch`] over the linear-scan reference backend.
-#[cfg(feature = "linear-reference")]
-pub fn run_tnn_batch_linear(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> BatchStats {
-    run_tnn_batch_impl::<tnn_core::LinearQueue>(trees, region, cfg)
 }
 
 fn run_tnn_batch_impl<Q: CandidateQueue>(

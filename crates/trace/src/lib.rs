@@ -21,8 +21,7 @@
 //!   paths are never rewired through the registry.
 //! * **Flight recorder** — [`FlightRecorder`] retains the N slowest
 //!   and all degraded-or-errored traces in bounded, lock-striped
-//!   pools, queryable from `tnn_serve::Server` / `tnn_shard::ShardRouter`
-//!   and dumped by `serve_load --trace`.
+//!   pools, queryable from `tnn_serve::Server` / `tnn_shard::ShardRouter`.
 //!
 //! ## Determinism and zero cost when off
 //!
