@@ -7,7 +7,7 @@
 //! | gate | contract |
 //! |---|---|
 //! | `engine_equivalence` | the k-ary engine ≡ the frozen 2-channel pipeline |
-//! | `linear_equivalence` | heap-ordered queues ≡ the paper-literal linear scan |
+//! | `linear_equivalence` | arrival-sorted stacks ≡ the paper-literal linear scan |
 //! | `serve_equivalence` | `Server` ≡ engine |
 //! | `qos_equivalence` | cached answers ≡ engine, FIFO within a class |
 //! | `fault_equivalence` | zero-fault plans are transparent, fault plans replay |

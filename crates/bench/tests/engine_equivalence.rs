@@ -16,9 +16,9 @@ use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv, Tuner};
 use tnn_core::task::{BroadcastNnSearch, NnScratch, WindowQueryTask, WindowScratch};
 use tnn_core::{
-    approximate_radius, round_trip_join, tnn_join, Algorithm, AnnMode, ArrivalHeap, CandidateQueue,
-    ChannelCost, LinearQueue, Query, QueryEngine, QueryKind, QueryOutcome, RouteStop, SearchMode,
-    TnnPair,
+    approximate_radius, round_trip_join, tnn_join, Algorithm, AnnMode, ArrivalStack,
+    CandidateQueue, ChannelCost, LinearQueue, Query, QueryEngine, QueryKind, QueryOutcome,
+    RouteStop, SearchMode, TnnPair,
 };
 use tnn_geom::{Circle, Point};
 use tnn_rtree::{PackingAlgorithm, RTree};
@@ -495,7 +495,7 @@ proptest! {
         let rephased = env.with_phases(&phases);
         for alg in Algorithm::ALL {
             for ann in [AnnMode::Exact, AnnMode::Dynamic { factor: ann_factor }] {
-                let expect = frozen_tnn::<ArrivalHeap>(
+                let expect = frozen_tnn::<ArrivalStack>(
                     &rephased, alg, p, issued_at, [ann, ann], retrieve,
                 );
                 let query = Query::tnn(p)
@@ -531,7 +531,7 @@ proptest! {
         let p = Point::new(qx, qy);
 
         for kind in [QueryKind::OrderFree, QueryKind::RoundTrip] {
-            let expect = frozen_variant::<ArrivalHeap>(&env, kind, p, 3, retrieve);
+            let expect = frozen_variant::<ArrivalStack>(&env, kind, p, 3, retrieve);
             let query = match kind {
                 QueryKind::OrderFree => Query::order_free(p),
                 _ => Query::round_trip(p),
@@ -604,7 +604,7 @@ fn pooled_scratch_and_frozen_agree_deterministically() {
         let query = Query::tnn(p).algorithm(alg).issued_at(i * 97);
         let pooled = engine.run(&query).unwrap();
         let direct = engine.run_with(&query, &mut scratch).unwrap();
-        let expect = frozen_tnn::<ArrivalHeap>(&env, alg, p, i * 97, [AnnMode::Exact; 2], true);
+        let expect = frozen_tnn::<ArrivalStack>(&env, alg, p, i * 97, [AnnMode::Exact; 2], true);
         assert_eq!(pooled, expect, "pooled vs frozen, query {i}");
         assert_eq!(direct, expect, "scratch vs frozen, query {i}");
     }

@@ -1,5 +1,5 @@
-//! The acceptance gate of the heap-queue optimization: for fixed seeds,
-//! [`tnn_sim::run_batch`] (heap-ordered candidate queues) and
+//! The acceptance gate of the production queue: for fixed seeds,
+//! [`tnn_sim::run_batch`] (arrival-sorted candidate stacks) and
 //! [`tnn_sim::run_batch_linear`] (the paper-literal O(n) scan reference)
 //! must produce **bit-identical** `BatchStats` — same pages, same finish
 //! times, same answers — across all four algorithms and ANN modes.

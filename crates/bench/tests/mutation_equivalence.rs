@@ -182,7 +182,7 @@ proptest! {
         // fingerprint treat the two environments as the same data.
         prop_assert_eq!(updated_env.fingerprint(), rebuilt_env.fingerprint());
         let queries = query_mix(Point::new(qx, qy));
-        assert_envs_answer_identically::<tnn_core::ArrivalHeap>(
+        assert_envs_answer_identically::<tnn_core::ArrivalStack>(
             &updated_env, &rebuilt_env, &queries,
         );
         assert_envs_answer_identically::<LinearQueue>(&updated_env, &rebuilt_env, &queries);

@@ -7,13 +7,13 @@
 //! [`QueryEngine::run`] of the same [`Query`] — concurrency may reorder
 //! *completion*, never *answers*. Also covered: the cached k!
 //! permutation table of order-free queries under concurrent server
-//! workers. (The server runs the production [`ArrivalHeap`] backend
-//! only; heap ≡ linear is gated at the engine level.)
+//! workers. (The server runs the production [`ArrivalStack`] backend
+//! only; stack ≡ linear is gated at the engine level.)
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Algorithm, AnnMode, ArrivalHeap, Query, QueryEngine, QueryScratch, TnnError};
+use tnn_core::{Algorithm, AnnMode, ArrivalStack, Query, QueryEngine, QueryScratch, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{Backpressure, ServeConfig, Server, ShutdownMode};
@@ -166,7 +166,7 @@ fn order_free_permutation_cache_is_stable_under_concurrency() {
 
     // Single-threaded reference: one scratch reused across every query,
     // so the permutation table is built once and recycled 63 times.
-    let mut scratch = QueryScratch::<ArrivalHeap>::default();
+    let mut scratch = QueryScratch::<ArrivalStack>::default();
     let expect: Vec<_> = queries
         .iter()
         .map(|q| engine.run_with(q, &mut scratch).unwrap())

@@ -3,7 +3,7 @@
 
 use crate::{BroadcastLayout, BroadcastParams};
 use std::sync::Arc;
-use tnn_rtree::{Node, NodeId, ObjectId, RTree};
+use tnn_rtree::{NodeId, NodeRef, ObjectId, RTree};
 
 /// What a channel carries during one page slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +135,7 @@ impl Channel {
 
     /// Resolves a node id to its node (the client "downloading" the page).
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub fn node(&self, id: NodeId) -> NodeRef<'_> {
         self.tree.node(id)
     }
 
@@ -266,7 +266,7 @@ impl<'a> ChannelView<'a> {
 
     /// Resolves a node id to its node (the client "downloading" the page).
     #[inline]
-    pub fn node(&self, id: NodeId) -> &'a Node {
+    pub fn node(&self, id: NodeId) -> NodeRef<'a> {
         self.channel.tree.node(id)
     }
 
@@ -281,6 +281,26 @@ impl<'a> ChannelView<'a> {
     #[inline]
     pub fn next_root_arrival(&self, now: u64) -> u64 {
         self.next_node_arrival(NodeId::ROOT, now)
+    }
+
+    /// Arrival of `child` for a search that downloaded its `parent` at
+    /// `parent_arrival`: `parent_arrival + (child − parent)`, with no
+    /// division. Exact because the index segment is the tree in
+    /// preorder, one node per page: at `parent_arrival + 1` the cycle
+    /// position is `parent + 1`, and `parent < child < bucket_len`, so
+    /// the child is on air `child − parent` slots after its parent in
+    /// the same segment. Equals
+    /// `next_node_arrival(child, parent_arrival + 1)`.
+    #[inline]
+    pub fn child_arrival(&self, parent: NodeId, parent_arrival: u64, child: NodeId) -> u64 {
+        debug_assert!(parent < child, "preorder puts every child after its parent");
+        let arrival = parent_arrival + u64::from(child.0 - parent.0);
+        debug_assert_eq!(
+            arrival,
+            self.next_node_arrival(child, parent_arrival + 1),
+            "parent_arrival must be a slot carrying the parent"
+        );
+        arrival
     }
 
     /// Simulates downloading all data pages of `object` starting at `now`
@@ -433,6 +453,45 @@ mod tests {
             base.view().next_root_arrival(17),
             base.next_root_arrival(17)
         );
+    }
+
+    #[test]
+    fn child_arrival_is_the_next_arrival_after_the_parent() {
+        let pts = |n: usize| -> Vec<Point> {
+            (0..n)
+                .map(|i| Point::new((i * 37 % 211) as f64, (i * 53 % 223) as f64))
+                .collect()
+        };
+        let mut edges_checked = 0usize;
+        for page in [64, 128] {
+            let params = BroadcastParams::new(page);
+            for algo in [PackingAlgorithm::Str, PackingAlgorithm::HilbertSort] {
+                let tree = Arc::new(RTree::build(&pts(150), params.rtree_params(), algo).unwrap());
+                for phase in [0u64, 1, 977, 123_457] {
+                    let ch = Channel::new(Arc::clone(&tree), params, phase);
+                    let view = ch.view();
+                    for start in [0u64, 3, 4_321, 1_000_003] {
+                        for (i, node) in tree.nodes().iter().enumerate() {
+                            let parent = NodeId(i as u32);
+                            let parent_arrival = view.next_node_arrival(parent, start);
+                            for c in node.children().unwrap_or_default() {
+                                let got = view.child_arrival(parent, parent_arrival, c.child);
+                                assert_eq!(
+                                    got,
+                                    view.next_node_arrival(c.child, parent_arrival + 1),
+                                    "{page} B {} phase {phase} start {start}: {parent} → {}",
+                                    algo.name(),
+                                    c.child
+                                );
+                                assert_eq!(ch.page_at(got), PageContent::IndexNode(c.child));
+                                edges_checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(edges_checked > 1_000, "only {edges_checked} edges checked");
     }
 
     #[test]

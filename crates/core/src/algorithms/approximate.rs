@@ -164,7 +164,7 @@ mod tests {
             p,
             0,
             &TnnConfig::exact(Algorithm::ApproximateTnn),
-            &mut QueryScratch::<crate::ArrivalHeap>::default(),
+            &mut QueryScratch::<crate::ArrivalStack>::default(),
         )
         .unwrap();
         let got = run.answer().expect("uniform data should succeed");
@@ -186,7 +186,7 @@ mod tests {
             p,
             0,
             &TnnConfig::exact_for(Algorithm::ApproximateTnn, 3),
-            &mut QueryScratch::<crate::ArrivalHeap>::default(),
+            &mut QueryScratch::<crate::ArrivalStack>::default(),
         )
         .unwrap();
         assert!(!run.failed(), "uniform data should succeed");
@@ -210,7 +210,7 @@ mod tests {
             p,
             0,
             &TnnConfig::exact(Algorithm::ApproximateTnn),
-            &mut QueryScratch::<crate::ArrivalHeap>::default(),
+            &mut QueryScratch::<crate::ArrivalStack>::default(),
         )
         .unwrap();
         // The candidate sets are empty → the query fails outright.

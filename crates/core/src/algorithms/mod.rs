@@ -11,7 +11,7 @@
 //!
 //! Every step is generic over the candidate-queue backend of the NN
 //! search tasks (see [`crate::task::queue`]): the default backend is the
-//! heap-ordered production queue, while
+//! arrival-sorted production stack, while
 //! `QueryEngine::<LinearQueue>::with_queue_backend` drives the identical
 //! algorithm code over the paper-literal linear-scan reference for the
 //! equivalence tests. Driven through [`crate::QueryEngine::run_with`]
@@ -35,7 +35,7 @@ pub use variants::{
 };
 
 use crate::join::JoinScratch;
-use crate::task::queue::{ArrivalHeap, CandidateQueue};
+use crate::task::queue::{ArrivalStack, CandidateQueue};
 use crate::task::{BroadcastNnSearch, NnScratch, WindowQueryTask, WindowScratch};
 use crate::SearchMode;
 use crate::{Algorithm, ChannelCost, TnnConfig, TnnError, TnnRun};
@@ -69,7 +69,7 @@ pub(crate) struct HopStats {
 /// [`crate::QueryEngine::run_with`] allocate only small k-element
 /// transient vectors (see the module docs).
 #[derive(Debug, Default)]
-pub struct QueryScratch<Q: CandidateQueue = ArrivalHeap> {
+pub struct QueryScratch<Q: CandidateQueue = ArrivalStack> {
     /// Estimate-phase NN task buffers, one per channel.
     pub(crate) nn: Vec<NnScratch<Q>>,
     /// Filter-phase window query buffers, one per channel.
@@ -332,7 +332,7 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
 /// hops. `at` is the finishing task's clock, the global time of the
 /// switch.
 ///
-/// `next_arrival` is an O(1) heap peek, so the interleaving loop adds
+/// `next_arrival` is an O(1) stack peek, so the interleaving loop adds
 /// only an O(k) scan per step.
 pub(crate) fn run_interleaved<Q: CandidateQueue>(
     tasks: &mut [BroadcastNnSearch<'_, Q>],
@@ -422,7 +422,7 @@ pub(crate) fn harvest_searches<Q: CandidateQueue>(
     Ok((nns, tuners, end, hops))
 }
 
-/// Property tests asserting the heap-ordered production queue and the
+/// Property tests asserting the arrival-sorted production stack and the
 /// paper-literal linear-scan reference produce **byte-identical**
 /// [`TnnRun`]s — same pages, same finish times, same answers — across all
 /// four algorithms, random datasets, phases, ANN modes, channel counts,
@@ -470,7 +470,7 @@ mod equivalence_tests {
         ) {
             let env = build_env(&[s, r], page, &[ph0, ph1]);
             let p = Point::new(qx, qy);
-            let mut heap_scratch = QueryScratch::<ArrivalHeap>::default();
+            let mut heap_scratch = QueryScratch::<ArrivalStack>::default();
             let mut linear_scratch = QueryScratch::<LinearQueue>::default();
             for alg in Algorithm::ALL {
                 for ann in [AnnMode::Exact, AnnMode::Dynamic { factor: ann_factor }] {
@@ -502,7 +502,7 @@ mod equivalence_tests {
                 (0..k as u64).map(|i| phase_seed.wrapping_mul(i * i + 1) % 40_000).collect();
             let env = build_env(&layers, 64, &phases);
             let p = Point::new(qx, qy);
-            let mut heap_scratch = QueryScratch::<ArrivalHeap>::default();
+            let mut heap_scratch = QueryScratch::<ArrivalStack>::default();
             let mut linear_scratch = QueryScratch::<LinearQueue>::default();
             for alg in Algorithm::ALL {
                 let cfg = TnnConfig::exact_for(alg, k);
@@ -535,7 +535,7 @@ mod equivalence_tests {
                 for alg in Algorithm::ALL {
                     let cfg = TnnConfig::exact(alg);
                     let heap_run = run_query_impl(
-                        &env, p, 3, &cfg, &mut QueryScratch::<ArrivalHeap>::default(),
+                        &env, p, 3, &cfg, &mut QueryScratch::<ArrivalStack>::default(),
                     )
                     .unwrap();
                     let linear_run = run_query_impl(
@@ -549,7 +549,7 @@ mod equivalence_tests {
     }
 
     /// The chained extension uses the same task machinery; spot-check the
-    /// heap path against the linear one through the public single-query
+    /// stack path against the linear one through the public single-query
     /// entry points.
     #[test]
     fn peak_memory_is_backend_independent() {
@@ -600,7 +600,7 @@ mod equivalence_tests {
                     p,
                     0,
                     &cfg,
-                    &mut QueryScratch::<ArrivalHeap>::default(),
+                    &mut QueryScratch::<ArrivalStack>::default(),
                 );
                 assert_eq!(
                     heap.unwrap_err(),
@@ -649,7 +649,7 @@ mod equivalence_tests {
                     Point::new(0.0, 0.0),
                     issued_at,
                     &TnnConfig::exact(alg),
-                    &mut QueryScratch::<ArrivalHeap>::default(),
+                    &mut QueryScratch::<ArrivalStack>::default(),
                 )
                 .unwrap();
                 let pair = run.answer().expect("single-point channels still answer");

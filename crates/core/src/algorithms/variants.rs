@@ -369,7 +369,7 @@ mod tests {
     use super::*;
     use crate::algorithms::permutations;
     use crate::merge::route_length;
-    use crate::task::queue::ArrivalHeap;
+    use crate::task::queue::ArrivalStack;
     use crate::AnnMode;
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
@@ -388,7 +388,7 @@ mod tests {
             issued_at,
             &AnnSpec::Uniform(ann),
             retrieve,
-            &mut QueryScratch::<ArrivalHeap>::default(),
+            &mut QueryScratch::<ArrivalStack>::default(),
         )
     }
 
@@ -405,7 +405,7 @@ mod tests {
             issued_at,
             &AnnSpec::Uniform(ann),
             retrieve,
-            &mut QueryScratch::<ArrivalHeap>::default(),
+            &mut QueryScratch::<ArrivalStack>::default(),
         )
     }
 

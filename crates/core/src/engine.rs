@@ -45,7 +45,7 @@ use crate::algorithms::{
     order_free_tnn_overlay, round_trip_tnn_overlay, run_query_overlay, QueryScratch, VariantRun,
     VisitOrder,
 };
-use crate::task::queue::{ArrivalHeap, CandidateQueue};
+use crate::task::queue::{ArrivalStack, CandidateQueue};
 use crate::{Algorithm, AnnMode, AnnSpec, ChannelCost, TnnConfig, TnnError, TnnPair, TnnRun};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, RwLock};
@@ -445,7 +445,7 @@ const MAX_POOLED_SCRATCH: usize = 64;
 
 /// The unified query-execution engine over one shared multi-channel
 /// environment, generic over the candidate-queue backend (the default
-/// [`ArrivalHeap`] is the production backend; the equivalence tests
+/// [`ArrivalStack`] is the production backend; the equivalence tests
 /// instantiate the paper-literal linear reference through
 /// [`QueryEngine::with_queue_backend`]).
 ///
@@ -463,7 +463,7 @@ const MAX_POOLED_SCRATCH: usize = 64;
 /// count is fixed at construction — swaps must preserve it, mirroring
 /// how every admitted query was validated against it.
 #[derive(Debug)]
-pub struct QueryEngine<Q: CandidateQueue = ArrivalHeap> {
+pub struct QueryEngine<Q: CandidateQueue = ArrivalStack> {
     /// The current environment snapshot, shared across engine clones.
     /// Readers clone it out (O(1)) and never hold the guard across a
     /// query; `swap_env` is the only writer.
@@ -477,7 +477,7 @@ pub struct QueryEngine<Q: CandidateQueue = ArrivalHeap> {
 }
 
 impl QueryEngine {
-    /// An engine over `env` with the production heap-ordered queue
+    /// An engine over `env` with the production arrival-sorted queue
     /// backend.
     pub fn new(env: MultiChannelEnv) -> Self {
         QueryEngine::with_queue_backend(env)
@@ -729,7 +729,7 @@ mod tests {
                 p,
                 5,
                 &TnnConfig::exact(alg),
-                &mut QueryScratch::<ArrivalHeap>::default(),
+                &mut QueryScratch::<ArrivalStack>::default(),
             )
             .unwrap();
             let got = engine
@@ -837,7 +837,7 @@ mod tests {
             p,
             0,
             &TnnConfig::exact(Algorithm::DoubleNn).with_ann_modes(&modes),
-            &mut QueryScratch::<ArrivalHeap>::default(),
+            &mut QueryScratch::<ArrivalStack>::default(),
         )
         .unwrap();
         let got = engine
@@ -1121,7 +1121,7 @@ mod tests {
             p,
             9,
             &TnnConfig::default(),
-            &mut QueryScratch::<ArrivalHeap>::default(),
+            &mut QueryScratch::<ArrivalStack>::default(),
         )
         .unwrap();
         let got = engine.run(&Query::tnn(p).issued_at(9)).unwrap();

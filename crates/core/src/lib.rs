@@ -98,7 +98,7 @@ pub use algorithms::{
     VisitOrder,
 };
 pub use join::{chain_join_with, chain_loop_join_with, tnn_join_with, JoinScratch};
-pub use task::{ArrivalHeap, CandidateQueue};
+pub use task::{ArrivalStack, CandidateQueue};
 
 #[cfg(feature = "linear-reference")]
 pub use task::LinearQueue;

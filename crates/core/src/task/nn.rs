@@ -9,11 +9,16 @@
 //! index segment, so one search completes within a single segment pass —
 //! exactly why the paper broadcasts the tree depth-first.
 //!
-//! The candidate queue is a binary min-heap keyed `(arrival, node id)`
-//! ([`ArrivalHeap`]), so [`BroadcastNnSearch::next_arrival`] is O(1) and
-//! [`BroadcastNnSearch::step`] is O(log n) — the event loops interleaving
-//! searches over multiple channels peek every iteration, and batch
-//! simulations run millions of steps. The paper-literal `Vec`-scan queue
+//! Within one search every node's arrival is therefore
+//! `root_arrival + id`: a child's arrival is its parent's plus the id
+//! gap ([`ChannelView::child_arrival`], no division), and arrival order
+//! is preorder. The candidate queue ([`ArrivalStack`]) is a `Vec` sorted
+//! in descending `(arrival, node id)` order with the next candidate at
+//! the end, so [`BroadcastNnSearch::next_arrival`] and the pop in
+//! [`BroadcastNnSearch::step`] are O(1), and pushing a node's children
+//! last first appends each one — the event loops interleaving searches
+//! over multiple channels peek every iteration, and batch simulations
+//! run millions of steps. The paper-literal `Vec`-scan queue
 //! is kept as [`LinearNnSearchTask`] (tests and the `linear-reference`
 //! feature only); the two must produce byte-identical traces, which
 //! the property tests below verify across all four algorithms.
@@ -33,9 +38,9 @@
 //! the algorithm delays the pruning process"). Parked and pruned entries
 //! cost neither pages nor time.
 //!
-//! The heap backend exploits the same pop-time equivalence a second way:
+//! The stack backend exploits the same pop-time equivalence a second way:
 //! between switches the bound only tightens, so pruning decisions for
-//! entries buried in the heap are *deferred* until they surface at the
+//! entries buried in the queue are *deferred* until they surface at the
 //! front; immediately before a switch every deferred decision is realized
 //! under the old metric, restoring the exact eager-purge state.
 //!
@@ -57,7 +62,7 @@
 //! preserved and visited"), which guarantees an ANN search always
 //! reaches a real data point.
 
-use super::queue::{ArrivalHeap, CandidateQueue, QueueEntry};
+use super::queue::{ArrivalStack, CandidateQueue, QueueEntry};
 use crate::{AnnMode, SearchMode};
 use tnn_broadcast::{ChannelView, Tuner};
 use tnn_geom::Point;
@@ -69,7 +74,7 @@ use super::queue::LinearQueue;
 /// A broadcast nearest-neighbor search task on one channel, generic over
 /// the candidate-queue backend.
 ///
-/// Use the [`NnSearchTask`] alias (heap backend) unless you are
+/// Use the [`NnSearchTask`] alias (stack backend) unless you are
 /// explicitly comparing against the linear-scan reference. Drive it with
 /// `next_arrival` / `step` from an event loop that interleaves tasks over
 /// multiple channels in global time order; re-target it with
@@ -106,8 +111,8 @@ pub struct BroadcastNnSearch<'a, Q: CandidateQueue> {
     peak_memory: usize,
 }
 
-/// The production NN search task (heap-ordered candidate queue).
-pub type NnSearchTask<'a> = BroadcastNnSearch<'a, ArrivalHeap>;
+/// The production NN search task (arrival-sorted candidate stack).
+pub type NnSearchTask<'a> = BroadcastNnSearch<'a, ArrivalStack>;
 
 /// The paper-literal reference task (`Vec`-scan queue, O(n) per step).
 /// Exists only so property tests can compare against the
@@ -223,7 +228,7 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
         self.now
     }
 
-    /// Number of candidate entries currently queued (for the heap backend
+    /// Number of candidate entries currently queued (for the stack backend
     /// this includes entries whose pruning decision is still deferred;
     /// parked entries are not counted). For the client-memory figure the
     /// paper bounds in §4.2.4 use [`BroadcastNnSearch::peak_memory`].
@@ -287,11 +292,15 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
             // from all children above), so a backend that pre-filters
             // pushes can park condemned children immediately; deferring
             // the decision to the settling pass below is observationally
-            // identical. Either way nothing costs pages or time.
+            // identical. Either way nothing costs pages or time. Children
+            // precede every queued entry in preorder, so pushing them last
+            // first appends each one to the arrival-sorted stack.
             if Q::PREFILTERS_PUSHES {
                 let ctx = self.prune_context();
-                for c in children {
-                    let arrival = self.channel.next_node_arrival(c.child, self.now);
+                for c in children.iter().rev() {
+                    let arrival = self
+                        .channel
+                        .child_arrival(entry.node, entry.arrival, c.child);
                     let e = QueueEntry {
                         arrival,
                         node: c.child,
@@ -305,7 +314,9 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
                 }
             } else {
                 for c in children {
-                    let arrival = self.channel.next_node_arrival(c.child, self.now);
+                    let arrival = self
+                        .channel
+                        .child_arrival(entry.node, entry.arrival, c.child);
                     self.queue.push(QueueEntry {
                         arrival,
                         node: c.child,
@@ -414,7 +425,7 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
 
     /// Parks every queued entry that is provably (exact) or probably
     /// (ANN) useless under the current bound; the preserved anchor is
-    /// exempt. The heap backend defers decisions for non-front entries —
+    /// exempt. The stack backend defers decisions for non-front entries —
     /// sound because the bound only tightens between switches. Parked
     /// entries cost no pages and no time, and remain revivable by a later
     /// switch.
@@ -789,7 +800,7 @@ mod tests {
     fn scratch_reuse_is_equivalent_and_reuses_capacity() {
         let pts = grid(400);
         let ch = channel(&pts, 13);
-        let mut scratch = NnScratch::<ArrivalHeap>::default();
+        let mut scratch = NnScratch::<ArrivalStack>::default();
         for (qx, qy) in [(10.0, 10.0), (150.0, 80.0), (60.0, 200.0)] {
             let q = Point::new(qx, qy);
             let mut fresh = NnSearchTask::new(&ch, SearchMode::Point { q }, AnnMode::Exact, 7);
@@ -812,7 +823,7 @@ mod tests {
         }
     }
 
-    /// Drives a heap-backed and a linear-backed task in lock step through
+    /// Drives a stack-backed and a linear-backed task in lock step through
     /// an identical schedule (steps and switches) and asserts every
     /// observable is byte-identical.
     fn assert_lockstep_equal(

@@ -1,22 +1,26 @@
 //! The filter-phase window query: retrieve every object inside the search
 //! range `circle(p, d)` from an on-air R-tree, in arrival order.
+//!
+//! Candidates wait in an [`ArrivalStack`] of `(arrival, node)` pairs, the
+//! NN search's queue: children get their arrival from the parent's
+//! ([`ChannelView::child_arrival`]) and are pushed last first, so every
+//! push and pop is O(1).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use super::queue::ArrivalStack;
 use tnn_broadcast::{ChannelView, Tuner};
 use tnn_geom::{Circle, Point};
 use tnn_rtree::{NodeId, ObjectId};
 
-/// One queued candidate node (its MBR already intersects the range).
-/// Ordered by arrival; node id breaks ties deterministically.
-type QueueEntry = Reverse<(u64, u32)>;
+/// One queued candidate node (its MBR already intersects the range):
+/// its arrival and id, ordered by arrival with the id breaking ties.
+type QueueEntry = (u64, NodeId);
 
 /// Reusable buffers for one [`WindowQueryTask`]: thread one through
 /// repeated queries (e.g. a batch) to avoid re-allocating the queue and
 /// the hit list per query.
 #[derive(Debug, Default)]
 pub struct WindowScratch {
-    queue: BinaryHeap<QueueEntry>,
+    queue: ArrivalStack<QueueEntry>,
     hits: Vec<(Point, ObjectId)>,
 }
 
@@ -29,7 +33,7 @@ pub struct WindowScratch {
 pub struct WindowQueryTask<'a> {
     channel: ChannelView<'a>,
     range: Circle,
-    queue: BinaryHeap<QueueEntry>,
+    queue: ArrivalStack<QueueEntry>,
     hits: Vec<(Point, ObjectId)>,
     tuner: Tuner,
     now: u64,
@@ -61,7 +65,7 @@ impl<'a> WindowQueryTask<'a> {
         // The root is only worth downloading if the range touches the
         // dataset at all.
         if range.intersects_rect(&channel.tree().bounding_rect()) {
-            queue.push(Reverse((root_arrival, NodeId::ROOT.0)));
+            queue.push((root_arrival, NodeId::ROOT));
         }
         WindowQueryTask {
             channel,
@@ -90,7 +94,7 @@ impl<'a> WindowQueryTask<'a> {
 
     /// Arrival of the next node to download.
     pub fn next_arrival(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse((arrival, _))| *arrival)
+        self.queue.peek().map(|&(arrival, _)| arrival)
     }
 
     /// Objects found inside the range so far.
@@ -115,16 +119,17 @@ impl<'a> WindowQueryTask<'a> {
 
     /// Downloads and processes the next candidate node.
     pub fn step(&mut self) -> Option<u64> {
-        let Reverse((arrival, node_id)) = self.queue.pop()?;
+        let (arrival, node_id) = self.queue.pop()?;
         self.now = arrival + 1;
         self.tuner.download(arrival);
 
-        let node = self.channel.node(NodeId(node_id));
+        let node = self.channel.node(node_id);
         if let Some(children) = node.children() {
-            for c in children {
+            // Last first: each child then lands at the end of the stack.
+            for c in children.iter().rev() {
                 if self.range.intersects_rect(&c.mbr) {
-                    let child_arrival = self.channel.next_node_arrival(c.child, self.now);
-                    self.queue.push(Reverse((child_arrival, c.child.0)));
+                    let child_arrival = self.channel.child_arrival(node_id, arrival, c.child);
+                    self.queue.push((child_arrival, c.child));
                 }
             }
         } else if let Some(points) = node.points() {

@@ -3,13 +3,13 @@
 //! All three algorithms work level by level: points are ordered and cut
 //! into leaf-capacity groups, then the resulting nodes are ordered and cut
 //! into fanout groups, until a single root remains. The finished tree is
-//! renumbered into **depth-first preorder**, the order in which nodes are
+//! written out in **depth-first preorder**, the order in which nodes are
 //! placed into a broadcast index segment.
 
-use crate::{
-    ChildEntry, Entries, LeafEntry, Node, NodeId, ObjectId, RTree, RTreeError, RTreeParams,
-};
+use crate::node::Arena;
+use crate::{ChildEntry, LeafEntry, NodeId, ObjectId, RTree, RTreeError, RTreeParams};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use tnn_geom::{Point, Rect};
 
 /// The packing (bulk-loading) algorithm used to build a tree.
@@ -54,74 +54,50 @@ struct PackItem<T> {
     payload: T,
 }
 
-/// Orders `items` in place according to the packing algorithm and returns
-/// groups of at most `capacity` items each.
+/// Orders `items` in place according to the packing algorithm; the
+/// level's groups are then its consecutive runs of `capacity` items
+/// (see [`groups`]).
 fn pack_level<T>(
-    mut items: Vec<PackItem<T>>,
+    items: &mut [PackItem<T>],
     capacity: usize,
     algo: PackingAlgorithm,
     region: &Rect,
-) -> Vec<Vec<PackItem<T>>> {
+) {
     debug_assert!(capacity >= 1);
+    let by_x = |a: &PackItem<T>, b: &PackItem<T>| {
+        a.center
+            .x
+            .total_cmp(&b.center.x)
+            .then(a.center.y.total_cmp(&b.center.y))
+    };
     match algo {
-        PackingAlgorithm::NearestX => {
-            items.sort_by(|a, b| {
-                a.center
-                    .x
-                    .total_cmp(&b.center.x)
-                    .then(a.center.y.total_cmp(&b.center.y))
-            });
-            chunk(items, capacity)
-        }
+        PackingAlgorithm::NearestX => items.sort_by(by_x),
         PackingAlgorithm::HilbertSort => {
             items.sort_by_key(|it| hilbert_key(it.center, region));
-            chunk(items, capacity)
         }
         PackingAlgorithm::Str => {
-            let n = items.len();
-            let pages = n.div_ceil(capacity);
+            let pages = items.len().div_ceil(capacity);
             let slabs = (pages as f64).sqrt().ceil() as usize;
-            let slab_size = slabs * capacity;
-            items.sort_by(|a, b| {
-                a.center
-                    .x
-                    .total_cmp(&b.center.x)
-                    .then(a.center.y.total_cmp(&b.center.y))
-            });
-            let mut groups = Vec::with_capacity(pages);
-            let mut rest = items;
-            while !rest.is_empty() {
-                let take = slab_size.min(rest.len());
-                let mut slab: Vec<PackItem<T>> = rest.drain(..take).collect();
+            items.sort_by(by_x);
+            // A slab holds whole groups, so no group straddles two.
+            for slab in items.chunks_mut(slabs * capacity) {
                 slab.sort_by(|a, b| {
                     a.center
                         .y
                         .total_cmp(&b.center.y)
                         .then(a.center.x.total_cmp(&b.center.x))
                 });
-                groups.extend(chunk(slab, capacity));
             }
-            groups
         }
     }
 }
 
-fn chunk<T>(items: Vec<PackItem<T>>, capacity: usize) -> Vec<Vec<PackItem<T>>> {
-    let mut groups = Vec::with_capacity(items.len().div_ceil(capacity));
-    let mut current = Vec::with_capacity(capacity);
-    for item in items {
-        current.push(item);
-        if current.len() == capacity {
-            groups.push(std::mem::replace(
-                &mut current,
-                Vec::with_capacity(capacity),
-            ));
-        }
-    }
-    if !current.is_empty() {
-        groups.push(current);
-    }
-    groups
+/// The index ranges of the groups of `len` packed items: consecutive
+/// runs of `capacity`, the last one possibly shorter.
+fn groups(len: usize, capacity: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..len)
+        .step_by(capacity)
+        .map(move |start| start..(start + capacity).min(len))
 }
 
 /// Order of the discrete Hilbert curve used for Hilbert-sort packing.
@@ -194,12 +170,8 @@ pub(crate) fn build_tree(
     let region = Rect::bounding(&points.iter().map(|(p, _)| *p).collect::<Vec<_>>())
         .expect("non-empty input");
 
-    // Temporary tree under construction, nodes in build order; renumbered
-    // into preorder at the end.
-    let mut arena: Vec<Node> = Vec::new();
-
     // Level 0: pack the points into leaves.
-    let leaf_items: Vec<PackItem<LeafEntry>> = points
+    let mut leaf_items: Vec<PackItem<LeafEntry>> = points
         .iter()
         .map(|&(point, object)| PackItem {
             center: point,
@@ -207,104 +179,112 @@ pub(crate) fn build_tree(
             payload: LeafEntry { point, object },
         })
         .collect();
+    pack_level(&mut leaf_items, params.leaf_capacity, algo, &region);
+    let mut skeleton = Skeleton::default();
+    let mut current: Vec<PackItem<usize>> = groups(leaf_items.len(), params.leaf_capacity)
+        .map(|r| skeleton.add(group_mbr(&leaf_items[r.clone()]), 0, 1, r))
+        .collect();
 
-    let mut current: Vec<PackItem<usize>> =
-        pack_level(leaf_items, params.leaf_capacity, algo, &region)
-            .into_iter()
-            .map(|group| {
-                let mbr = group
-                    .iter()
-                    .map(|it| it.mbr)
-                    .reduce(|a, b| a.union(&b))
-                    .expect("non-empty group");
-                let idx = arena.len();
-                arena.push(Node {
-                    mbr,
-                    level: 0,
-                    entries: Entries::Leaf(group.into_iter().map(|it| it.payload).collect()),
-                });
-                PackItem {
-                    center: mbr.center(),
-                    mbr,
-                    payload: idx,
-                }
-            })
-            .collect();
-
-    // Upper levels: pack node handles until a single root remains.
+    // Upper levels: pack node handles until a single root remains. Every
+    // level's packed handles are appended to `internal_items`, which the
+    // internal nodes' entry ranges index.
+    let mut internal_items: Vec<PackItem<usize>> = Vec::new();
     let mut level = 1u32;
     while current.len() > 1 {
-        current = pack_level(current, params.fanout, algo, &region)
-            .into_iter()
-            .map(|group| {
-                let mbr = group
+        pack_level(&mut current, params.fanout, algo, &region);
+        let offset = internal_items.len();
+        internal_items.append(&mut current);
+        current = groups(internal_items.len() - offset, params.fanout)
+            .map(|r| {
+                let r = r.start + offset..r.end + offset;
+                let group = &internal_items[r.clone()];
+                let size = 1 + group
                     .iter()
-                    .map(|it| it.mbr)
-                    .reduce(|a, b| a.union(&b))
-                    .expect("non-empty group");
-                let children = group
-                    .iter()
-                    .map(|it| ChildEntry {
-                        mbr: it.mbr,
-                        // Build-order index; rewritten during renumbering.
-                        child: NodeId(it.payload as u32),
-                    })
-                    .collect();
-                let idx = arena.len();
-                arena.push(Node {
-                    mbr,
-                    level,
-                    entries: Entries::Internal(children),
-                });
-                PackItem {
-                    center: mbr.center(),
-                    mbr,
-                    payload: idx,
-                }
+                    .map(|it| skeleton.size[it.payload])
+                    .sum::<u32>();
+                skeleton.add(group_mbr(group), level, size, r)
             })
             .collect();
         level += 1;
     }
 
-    let root_build_idx = current[0].payload;
-    let height = arena[root_build_idx].level + 1;
-    let nodes = renumber_preorder(arena, root_build_idx);
+    let root = current[0].payload;
+    let height = skeleton.level[root] + 1;
+    let arena = emit_preorder(&skeleton, &leaf_items, &internal_items, root);
 
-    Ok(RTree::from_parts(nodes, points.len(), height, params, algo))
+    Ok(RTree::from_parts(arena, points.len(), height, params, algo))
 }
 
-/// Rewrites the build-order arena into preorder: the root becomes node 0
-/// and every node's id equals its DFS preorder rank (children visited in
-/// entry order).
-fn renumber_preorder(arena: Vec<Node>, root: usize) -> Vec<Node> {
-    let n = arena.len();
-    let mut order = Vec::with_capacity(n); // preorder list of build indices
-    let mut new_id = vec![u32::MAX; n]; // build index -> preorder id
-    let mut stack = vec![root];
-    while let Some(idx) = stack.pop() {
-        new_id[idx] = order.len() as u32;
-        order.push(idx);
-        if let Entries::Internal(children) = &arena[idx].entries {
-            // Push in reverse so the first child is processed first.
-            for child in children.iter().rev() {
-                stack.push(child.child.index());
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "all nodes reachable from the root");
+/// Per-node facts gathered bottom-up, indexed by build index (the
+/// order nodes are created in, leaves first).
+#[derive(Default)]
+struct Skeleton {
+    mbr: Vec<Rect>,
+    level: Vec<u32>,
+    /// Nodes in the subtree, the node included.
+    size: Vec<u32>,
+    /// The node's entries: a range of the packed leaf items for a leaf,
+    /// of the packed internal items otherwise.
+    entries: Vec<Range<usize>>,
+}
 
-    let mut slots: Vec<Option<Node>> = arena.into_iter().map(Some).collect();
-    let mut out = Vec::with_capacity(n);
-    for &build_idx in &order {
-        let mut node = slots[build_idx].take().expect("each node moved once");
-        if let Entries::Internal(children) = &mut node.entries {
-            for child in children {
-                child.child = NodeId(new_id[child.child.index()]);
-            }
+impl Skeleton {
+    /// Records a node and returns its handle for the next level up.
+    fn add(&mut self, mbr: Rect, level: u32, size: u32, entries: Range<usize>) -> PackItem<usize> {
+        self.mbr.push(mbr);
+        self.level.push(level);
+        self.size.push(size);
+        self.entries.push(entries);
+        PackItem {
+            center: mbr.center(),
+            mbr,
+            payload: self.mbr.len() - 1,
         }
-        out.push(node);
     }
-    out
+}
+
+fn group_mbr<T>(group: &[PackItem<T>]) -> Rect {
+    group
+        .iter()
+        .map(|it| it.mbr)
+        .reduce(|a, b| a.union(&b))
+        .expect("non-empty group")
+}
+
+/// Writes the packed tree into its arena in depth-first preorder: the
+/// root becomes node 0 and every node's id equals its DFS preorder rank
+/// (children visited in entry order). A child's id is its parent's plus
+/// one plus the subtree sizes of its earlier siblings, so every entry is
+/// written once, into arrays of exact size.
+fn emit_preorder(
+    skeleton: &Skeleton,
+    leaf_items: &[PackItem<LeafEntry>],
+    internal_items: &[PackItem<usize>],
+    root: usize,
+) -> Arena {
+    let n = skeleton.mbr.len();
+    let mut arena = Arena::with_capacity(n, n - 1, leaf_items.len());
+    let mut stack = vec![root];
+    while let Some(b) = stack.pop() {
+        let (mbr, level) = (skeleton.mbr[b], skeleton.level[b]);
+        let entries = skeleton.entries[b].clone();
+        if level == 0 {
+            arena.push_leaf(mbr, leaf_items[entries].iter().map(|it| it.payload));
+        } else {
+            let group = &internal_items[entries];
+            let mut next = arena.headers.len() as u32 + 1;
+            let children = group.iter().map(|it| {
+                let child = NodeId(next);
+                next += skeleton.size[it.payload];
+                ChildEntry { mbr: it.mbr, child }
+            });
+            arena.push_internal(mbr, level, children);
+            // Reversed, so the first child is emitted next.
+            stack.extend(group.iter().rev().map(|it| it.payload));
+        }
+    }
+    debug_assert_eq!(arena.headers.len(), n, "all nodes reachable from the root");
+    arena
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ mod tree;
 pub use build::PackingAlgorithm;
 pub use delta::DeltaOverlay;
 pub use error::RTreeError;
-pub use node::{ChildEntry, Entries, LeafEntry, Node, NodeId, ObjectId};
+pub use node::{ChildEntry, LeafEntry, NodeId, NodeRef, Nodes, ObjectId};
 pub use params::RTreeParams;
 pub use query::{NnIter, NnResult, RangeResult};
 pub use tree::RTree;

@@ -1,5 +1,6 @@
 //! R-tree node representation: preorder-numbered nodes holding either
-//! child MBR entries or point entries.
+//! child MBR entries or point entries, stored in one flat arena and read
+//! through borrowed `Copy` views.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -69,29 +70,110 @@ pub struct LeafEntry {
     pub object: ObjectId,
 }
 
-/// The payload of a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Entries {
-    /// Internal node: child entries in packing order.
-    Internal(Vec<ChildEntry>),
-    /// Leaf node: point entries in packing order.
-    Leaf(Vec<LeafEntry>),
+/// One node's header in the flat arena: its MBR, its level, and the
+/// range its entries occupy in the child arena (internal nodes) or the
+/// point arena (leaves).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct NodeHeader {
+    pub(crate) mbr: Rect,
+    /// Leaves have level 0, and only leaves do: the level decides which
+    /// arena `start..start + len` indexes.
+    pub(crate) level: u32,
+    pub(crate) start: u32,
+    pub(crate) len: u32,
 }
 
-/// One R-tree node. In the broadcast model a node occupies exactly one
-/// page.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Node {
+/// The flat node store of an [`RTree`](crate::RTree): one header per
+/// node, plus one array of every internal node's child entries and one
+/// of every leaf's point entries. Nodes are appended in depth-first
+/// preorder, so a node's entries follow those of every smaller-id node
+/// of its kind, and the point array is the leaf-preorder object order of
+/// the broadcast data segment.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct Arena {
+    pub(crate) headers: Vec<NodeHeader>,
+    pub(crate) children: Vec<ChildEntry>,
+    pub(crate) points: Vec<LeafEntry>,
+}
+
+impl Arena {
+    pub(crate) fn with_capacity(nodes: usize, children: usize, points: usize) -> Self {
+        Arena {
+            headers: Vec::with_capacity(nodes),
+            children: Vec::with_capacity(children),
+            points: Vec::with_capacity(points),
+        }
+    }
+
+    /// Appends a leaf holding `entries`.
+    pub(crate) fn push_leaf(&mut self, mbr: Rect, entries: impl IntoIterator<Item = LeafEntry>) {
+        let start = self.points.len();
+        self.points.extend(entries);
+        self.push_header(mbr, 0, start, self.points.len());
+    }
+
+    /// Appends an internal node at `level ≥ 1` holding `entries`.
+    pub(crate) fn push_internal(
+        &mut self,
+        mbr: Rect,
+        level: u32,
+        entries: impl IntoIterator<Item = ChildEntry>,
+    ) {
+        debug_assert!(level >= 1, "level 0 is the leaf level");
+        let start = self.children.len();
+        self.children.extend(entries);
+        self.push_header(mbr, level, start, self.children.len());
+    }
+
+    fn push_header(&mut self, mbr: Rect, level: u32, start: usize, end: usize) {
+        let narrow = |i: usize| u32::try_from(i).expect("arena offsets fit in u32");
+        self.headers.push(NodeHeader {
+            mbr,
+            level,
+            start: narrow(start),
+            len: narrow(end - start),
+        });
+    }
+
+    /// The node at arena index `i`.
+    #[inline]
+    pub(crate) fn node(&self, i: usize) -> NodeRef<'_> {
+        let h = &self.headers[i];
+        let range = h.start as usize..(h.start + h.len) as usize;
+        NodeRef {
+            mbr: h.mbr,
+            level: h.level,
+            entries: if h.level == 0 {
+                Entries::Leaf(&self.points[range])
+            } else {
+                Entries::Internal(&self.children[range])
+            },
+        }
+    }
+}
+
+/// A node's entries, borrowed from the arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entries<'a> {
+    Internal(&'a [ChildEntry]),
+    Leaf(&'a [LeafEntry]),
+}
+
+/// A borrowed, `Copy` view of one R-tree node. In the broadcast model a
+/// node occupies exactly one page. Obtain one from
+/// [`RTree::node`](crate::RTree::node) or by iterating
+/// [`RTree::nodes`](crate::RTree::nodes).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeRef<'a> {
     /// Minimal bounding rectangle of everything below this node.
     pub mbr: Rect,
     /// Level above the leaves: leaves have level 0, the root has
     /// `height − 1`.
     pub level: u32,
-    /// Child or point entries.
-    pub entries: Entries,
+    entries: Entries<'a>,
 }
 
-impl Node {
+impl<'a> NodeRef<'a> {
     /// `true` for leaf nodes.
     #[inline]
     pub fn is_leaf(&self) -> bool {
@@ -101,35 +183,72 @@ impl Node {
     /// Number of entries (children or points).
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.entries {
+        match self.entries {
             Entries::Internal(cs) => cs.len(),
             Entries::Leaf(ps) => ps.len(),
         }
     }
 
-    /// `true` when the node has no entries (never the case in a packed
-    /// tree; kept for API completeness).
+    /// `true` when the node has no entries (only the lone leaf root of
+    /// an [`RTree::empty`](crate::RTree::empty) tree).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Child entries, or `None` for leaves.
+    /// Child entries in packing order, or `None` for leaves.
     #[inline]
-    pub fn children(&self) -> Option<&[ChildEntry]> {
-        match &self.entries {
+    pub fn children(&self) -> Option<&'a [ChildEntry]> {
+        match self.entries {
             Entries::Internal(cs) => Some(cs),
             Entries::Leaf(_) => None,
         }
     }
 
-    /// Leaf entries, or `None` for internal nodes.
+    /// Leaf entries in packing order, or `None` for internal nodes.
     #[inline]
-    pub fn points(&self) -> Option<&[LeafEntry]> {
-        match &self.entries {
+    pub fn points(&self) -> Option<&'a [LeafEntry]> {
+        match self.entries {
             Entries::Internal(_) => None,
             Entries::Leaf(ps) => Some(ps),
         }
+    }
+}
+
+/// A borrowed view of every node of an [`RTree`](crate::RTree) in
+/// preorder, from [`RTree::nodes`](crate::RTree::nodes).
+#[derive(Debug, Clone, Copy)]
+pub struct Nodes<'a> {
+    arena: &'a Arena,
+}
+
+impl<'a> Nodes<'a> {
+    pub(crate) fn new(arena: &'a Arena) -> Self {
+        Nodes { arena }
+    }
+
+    /// Number of nodes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.arena.headers.len()
+    }
+
+    /// `true` when there are no nodes (never the case for a tree).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The node with preorder id `id`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, id: NodeId) -> Option<NodeRef<'a>> {
+        (id.index() < self.len()).then(|| self.arena.node(id.index()))
+    }
+
+    /// The nodes in preorder (the iterator's position is the node id).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = NodeRef<'a>> + 'a {
+        let arena = self.arena;
+        (0..arena.headers.len()).map(move |i| arena.node(i))
     }
 }
 
@@ -139,31 +258,43 @@ mod tests {
 
     #[test]
     fn node_accessors() {
-        let leaf = Node {
-            mbr: Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-            level: 0,
-            entries: Entries::Leaf(vec![LeafEntry {
+        let mut arena = Arena::default();
+        arena.push_leaf(
+            Rect::from_coords(0.0, 0.0, 1.0, 1.0),
+            [LeafEntry {
                 point: Point::new(0.5, 0.5),
                 object: ObjectId(3),
-            }]),
-        };
+            }],
+        );
+        arena.push_internal(
+            Rect::from_coords(0.0, 0.0, 2.0, 2.0),
+            1,
+            [ChildEntry {
+                mbr: Rect::from_coords(0.0, 0.0, 1.0, 1.0),
+                child: NodeId(1),
+            }],
+        );
+
+        let leaf = arena.node(0);
         assert!(leaf.is_leaf());
+        assert_eq!(leaf.level, 0);
         assert_eq!(leaf.len(), 1);
         assert!(!leaf.is_empty());
         assert!(leaf.children().is_none());
         assert_eq!(leaf.points().unwrap()[0].object, ObjectId(3));
 
-        let inner = Node {
-            mbr: Rect::from_coords(0.0, 0.0, 2.0, 2.0),
-            level: 1,
-            entries: Entries::Internal(vec![ChildEntry {
-                mbr: Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-                child: NodeId(1),
-            }]),
-        };
+        let inner = arena.node(1);
         assert!(!inner.is_leaf());
+        assert_eq!(inner.level, 1);
+        assert_eq!(inner.mbr, Rect::from_coords(0.0, 0.0, 2.0, 2.0));
         assert_eq!(inner.children().unwrap().len(), 1);
         assert!(inner.points().is_none());
+
+        let nodes = Nodes::new(&arena);
+        assert_eq!(nodes.len(), 2);
+        assert_eq!(nodes.get(NodeId(1)), Some(inner));
+        assert_eq!(nodes.get(NodeId(2)), None);
+        assert_eq!(nodes.iter().collect::<Vec<_>>(), vec![leaf, inner]);
     }
 
     #[test]

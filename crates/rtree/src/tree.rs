@@ -1,14 +1,19 @@
 //! The packed R-tree container and its structural invariants.
 
-use crate::{build, Entries, Node, NodeId, ObjectId, PackingAlgorithm, RTreeError, RTreeParams};
+use crate::node::Arena;
+use crate::{build, NodeId, NodeRef, Nodes, ObjectId, PackingAlgorithm, RTreeError, RTreeParams};
 use serde::{Deserialize, Serialize};
 use tnn_geom::{Point, Rect};
 
 /// An immutable, bulk-loaded R-tree over 2-D points.
 ///
-/// Nodes are stored in **depth-first preorder**: `nodes[0]` is the root and
-/// a node's id is its preorder rank, which doubles as the node's page
-/// offset inside a broadcast index segment (see `tnn-broadcast`).
+/// Nodes are stored in **depth-first preorder** in one flat arena: a
+/// header per node (MBR, level, entry range) plus one array of child
+/// entries and one of point entries, all three in preorder. Node 0 is
+/// the root and a node's id is its preorder rank, which doubles as the
+/// node's page offset inside a broadcast index segment (see
+/// `tnn-broadcast`). [`RTree::node`] and [`RTree::nodes`] hand out
+/// borrowed `Copy` views of it.
 ///
 /// ```
 /// use tnn_geom::Point;
@@ -24,7 +29,7 @@ use tnn_geom::{Point, Rect};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RTree {
-    nodes: Vec<Node>,
+    arena: Arena,
     num_objects: usize,
     height: u32,
     params: RTreeParams,
@@ -68,23 +73,20 @@ impl RTree {
     /// [`RTree::nearest_neighbor`] returns `None` and range queries see
     /// an empty leaf.
     pub fn empty(params: RTreeParams) -> Self {
-        let root = Node {
-            mbr: Rect::from_coords(0.0, 0.0, 0.0, 0.0),
-            level: 0,
-            entries: Entries::Leaf(Vec::new()),
-        };
-        RTree::from_parts(vec![root], 0, 1, params, PackingAlgorithm::Str)
+        let mut arena = Arena::with_capacity(1, 0, 0);
+        arena.push_leaf(Rect::from_coords(0.0, 0.0, 0.0, 0.0), []);
+        RTree::from_parts(arena, 0, 1, params, PackingAlgorithm::Str)
     }
 
     pub(crate) fn from_parts(
-        nodes: Vec<Node>,
+        arena: Arena,
         num_objects: usize,
         height: u32,
         params: RTreeParams,
         packing: PackingAlgorithm,
     ) -> Self {
         RTree {
-            nodes,
+            arena,
             num_objects,
             height,
             params,
@@ -93,21 +95,24 @@ impl RTree {
     }
 
     /// The node with the given id.
+    ///
+    /// # Panics
+    /// Panics when `id` is not a node of this tree.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> NodeRef<'_> {
+        self.arena.node(id.index())
     }
 
     /// All nodes in preorder.
     #[inline]
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+    pub fn nodes(&self) -> Nodes<'_> {
+        Nodes::new(&self.arena)
     }
 
     /// Number of nodes (== pages in a broadcast index segment).
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.arena.headers.len()
     }
 
     /// Number of indexed objects.
@@ -178,14 +183,13 @@ impl RTree {
             return vec![(root.mbr, objects)];
         };
         let mut ends: Vec<usize> = children.iter().skip(1).map(|c| c.child.index()).collect();
-        ends.push(self.nodes.len());
+        ends.push(self.num_nodes());
         children
             .iter()
             .zip(ends)
             .map(|(c, end)| {
-                let objects = self.nodes[c.child.index()..end]
-                    .iter()
-                    .filter_map(Node::points)
+                let objects = (c.child.index()..end)
+                    .filter_map(|i| self.arena.node(i).points())
                     .flatten()
                     .map(|e| (e.point, e.object))
                     .collect();
@@ -198,7 +202,7 @@ impl RTree {
     /// `Node_depth` in the dynamic-α formula (eq. 4).
     #[inline]
     pub fn depth_of(&self, id: NodeId) -> u32 {
-        self.height - 1 - self.node(id).level
+        self.height - 1 - self.arena.headers[id.index()].level
     }
 
     /// A deterministic 64-bit fingerprint of the tree's **content and
@@ -241,96 +245,107 @@ impl RTree {
     /// Iterates over all `(point, object)` pairs in leaf preorder — the
     /// order in which objects are placed into the broadcast data segment.
     pub fn objects_in_leaf_order(&self) -> impl Iterator<Item = (Point, ObjectId)> + '_ {
-        self.nodes
-            .iter()
-            .filter_map(|n| n.points())
-            .flatten()
-            .map(|e| (e.point, e.object))
+        // The point array is in leaf preorder by construction.
+        self.arena.points.iter().map(|e| (e.point, e.object))
     }
 
     /// Checks every structural invariant of the packed tree; used by tests
     /// and by debug assertions in downstream crates. Cheap relative to a
     /// build (single pass).
     pub fn validate(&self) -> Result<(), String> {
-        if self.nodes.is_empty() {
+        let nodes = self.nodes();
+        let Some(root) = nodes.get(NodeId::ROOT) else {
             return Err("tree has no nodes".into());
-        }
-        let root = &self.nodes[0];
+        };
         if root.level + 1 != self.height {
             return Err(format!(
                 "root level {} inconsistent with height {}",
                 root.level, self.height
             ));
         }
+        // Arena layout: each node's entries start where the previous
+        // node of its kind left off, so both entry arrays are in
+        // preorder and hold nothing else.
+        let (mut child_cursor, mut point_cursor) = (0usize, 0usize);
+        for (i, h) in self.arena.headers.iter().enumerate() {
+            let cursor = if h.level == 0 {
+                &mut point_cursor
+            } else {
+                &mut child_cursor
+            };
+            if h.start as usize != *cursor {
+                return Err(format!(
+                    "node n{i} entries start at {}, expected {cursor}",
+                    h.start
+                ));
+            }
+            *cursor += h.len as usize;
+        }
+        if child_cursor != self.arena.children.len() || point_cursor != self.arena.points.len() {
+            return Err("entry arrays hold entries no node owns".into());
+        }
         let mut object_count = 0usize;
-        let mut seen_children = vec![false; self.nodes.len()];
+        let mut seen_children = vec![false; nodes.len()];
         seen_children[0] = true;
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in nodes.iter().enumerate() {
             // The only legal empty node is the lone leaf root of an
             // [`RTree::empty`] tree.
-            if node.is_empty() && !(self.num_objects == 0 && self.nodes.len() == 1) {
+            if node.is_empty() && !(self.num_objects == 0 && nodes.len() == 1) {
                 return Err(format!("node n{i} is empty"));
             }
-            match &node.entries {
-                Entries::Internal(children) => {
-                    if children.len() > self.params.fanout {
+            if let Some(children) = node.children() {
+                if children.len() > self.params.fanout {
+                    return Err(format!(
+                        "node n{i} has {} children, fanout {}",
+                        children.len(),
+                        self.params.fanout
+                    ));
+                }
+                let mut expected_first = i + 1;
+                for c in children {
+                    let ci = c.child.index();
+                    let Some(child) = nodes.get(c.child) else {
+                        return Err(format!("node n{i} references missing child {ci}"));
+                    };
+                    if seen_children[ci] {
+                        return Err(format!("node n{ci} has two parents"));
+                    }
+                    seen_children[ci] = true;
+                    if child.level + 1 != node.level {
                         return Err(format!(
-                            "node n{i} has {} children, fanout {}",
-                            children.len(),
-                            self.params.fanout
+                            "child n{ci} level {} under parent level {}",
+                            child.level, node.level
                         ));
                     }
-                    let mut expected_first = i + 1;
-                    for c in children {
-                        let ci = c.child.index();
-                        if ci >= self.nodes.len() {
-                            return Err(format!("node n{i} references missing child {ci}"));
-                        }
-                        if seen_children[ci] {
-                            return Err(format!("node n{ci} has two parents"));
-                        }
-                        seen_children[ci] = true;
-                        let child = &self.nodes[ci];
-                        if child.level + 1 != node.level {
-                            return Err(format!(
-                                "child n{ci} level {} under parent level {}",
-                                child.level, node.level
-                            ));
-                        }
-                        if c.mbr != child.mbr {
-                            return Err(format!("entry MBR for n{ci} differs from the node MBR"));
-                        }
-                        if !node.mbr.contains_rect(&c.mbr) {
-                            return Err(format!("parent n{i} MBR does not contain child n{ci}"));
-                        }
-                        // Preorder property: the child subtree occupies a
-                        // contiguous id range starting at the child id.
-                        if ci < expected_first {
-                            return Err(format!(
-                                "child n{ci} violates preorder (expected ≥ {expected_first})"
-                            ));
-                        }
-                        expected_first = ci + 1;
+                    if c.mbr != child.mbr {
+                        return Err(format!("entry MBR for n{ci} differs from the node MBR"));
                     }
-                }
-                Entries::Leaf(points) => {
-                    if node.level != 0 {
-                        return Err(format!("leaf n{i} has level {}", node.level));
+                    if !node.mbr.contains_rect(&c.mbr) {
+                        return Err(format!("parent n{i} MBR does not contain child n{ci}"));
                     }
-                    if points.len() > self.params.leaf_capacity {
+                    // Preorder property: the child subtree occupies a
+                    // contiguous id range starting at the child id.
+                    if ci < expected_first {
                         return Err(format!(
-                            "leaf n{i} has {} points, capacity {}",
-                            points.len(),
-                            self.params.leaf_capacity
+                            "child n{ci} violates preorder (expected ≥ {expected_first})"
                         ));
                     }
-                    for e in points {
-                        if !node.mbr.contains(e.point) {
-                            return Err(format!("leaf n{i} MBR does not contain {:?}", e.point));
-                        }
-                    }
-                    object_count += points.len();
+                    expected_first = ci + 1;
                 }
+            } else if let Some(points) = node.points() {
+                if points.len() > self.params.leaf_capacity {
+                    return Err(format!(
+                        "leaf n{i} has {} points, capacity {}",
+                        points.len(),
+                        self.params.leaf_capacity
+                    ));
+                }
+                for e in points {
+                    if !node.mbr.contains(e.point) {
+                        return Err(format!("leaf n{i} MBR does not contain {:?}", e.point));
+                    }
+                }
+                object_count += points.len();
             }
         }
         if let Some(orphan) = seen_children.iter().position(|&s| !s) {
@@ -400,11 +415,18 @@ mod tests {
         let mut tree = sample_tree(100);
         // Corrupt a leaf MBR.
         let leaf_idx = tree
-            .nodes
+            .nodes()
             .iter()
             .position(|n| n.is_leaf())
             .expect("has a leaf");
-        tree.nodes[leaf_idx].mbr = Rect::from_coords(1e6, 1e6, 1e6 + 1.0, 1e6 + 1.0);
+        tree.arena.headers[leaf_idx].mbr = Rect::from_coords(1e6, 1e6, 1e6 + 1.0, 1e6 + 1.0);
+        assert!(tree.validate().is_err());
+        // An entry range that skips over another node's entries breaks
+        // the preorder arena layout.
+        let mut tree = sample_tree(100);
+        let last = tree.arena.headers.len() - 1;
+        tree.arena.headers[last].start += 1;
+        tree.arena.headers[last].len -= 1;
         assert!(tree.validate().is_err());
     }
 

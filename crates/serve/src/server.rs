@@ -520,8 +520,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawns a server over `env` with the production heap-ordered queue
-    /// backend. See [`Server::spawn_engine`] for the full contract.
+    /// Spawns a server over `env` with the production arrival-sorted
+    /// queue backend. See [`Server::spawn_engine`] for the full contract.
     pub fn spawn(env: MultiChannelEnv, config: ServeConfig) -> Self {
         Server::spawn_engine(QueryEngine::new(env), config)
     }

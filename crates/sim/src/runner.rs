@@ -12,9 +12,10 @@
 //!
 //! All batches are driven through one shared [`QueryEngine`]; work is
 //! spread over all CPUs in contiguous chunks, and each worker thread owns
-//! one [`QueryScratch`] passed to [`QueryEngine::run_with`], so the
-//! per-query hot path performs no buffer allocations after the first
-//! query has grown them. Per-query phase randomization rides the engine's
+//! one [`QueryScratch`] passed to [`QueryEngine::run_on`] together with
+//! the one environment snapshot the query takes, so the per-query hot
+//! path performs no buffer allocations after the first query has grown
+//! them. Per-query phase randomization rides the engine's
 //! `PhaseOverlay` — no channel vector is cloned per query (the former
 //! `with_phases` hot-path cost). Per-query
 //! metric samples are written into a pre-sized slot array and reduced
@@ -104,7 +105,7 @@ pub fn run_batch(
     region: &Rect,
     cfg: &BatchConfig,
 ) -> BatchStats {
-    run_tnn_batch_impl::<tnn_core::ArrivalHeap>(
+    run_tnn_batch_impl::<tnn_core::ArrivalStack>(
         &[Arc::clone(s_tree), Arc::clone(r_tree)],
         region,
         cfg,
@@ -122,7 +123,7 @@ pub fn run_batch(
 /// with an in-order reduction, bit-identical in the seed regardless of
 /// thread count.
 pub fn run_tnn_batch(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> BatchStats {
-    run_tnn_batch_impl::<tnn_core::ArrivalHeap>(trees, region, cfg)
+    run_tnn_batch_impl::<tnn_core::ArrivalStack>(trees, region, cfg)
 }
 
 /// [`run_batch`] over the paper-literal pre-optimization hot path:
@@ -193,6 +194,8 @@ fn run_one<Q: CandidateQueue>(
         rng.gen_range(region.min.x..=region.max.x),
         rng.gen_range(region.min.y..=region.max.y),
     );
+    // One environment snapshot per query: the phases, the run and the
+    // oracle all read this one.
     let env = engine.env();
     // Per-query phases go through the engine's `PhaseOverlay`: nothing is
     // cloned — the old `env.with_phases(&phases)` materialized a fresh
@@ -212,7 +215,7 @@ fn run_one<Q: CandidateQueue>(
         .phases(phases);
 
     let run = engine
-        .run_with(&query, scratch)
+        .run_on(&env, &query, scratch)
         .expect("k >= 2 channels, finite query");
     let no_answer = run.failed();
     let failed = if cfg.check_oracle {
@@ -275,17 +278,18 @@ pub fn run_chain_batch(
                 rng.gen_range(region.min.x..=region.max.x),
                 rng.gen_range(region.min.y..=region.max.y),
             );
+            // One environment snapshot per query, for the phases and
+            // the run.
+            let env = engine.env();
             phases.clear();
             phases.extend(
-                engine
-                    .env()
-                    .channels()
+                env.channels()
                     .iter()
                     .map(|c| rng.gen_range(0..c.layout().cycle_len().max(1))),
             );
             let query = Query::chain(p).ann(ann).phases(&phases);
             let run = engine
-                .run_with(&query, &mut scratch)
+                .run_on(&env, &query, &mut scratch)
                 .expect("valid chain environment");
             *slot = QuerySample {
                 access: run.access_time(),
@@ -359,7 +363,7 @@ mod tests {
         }
     }
 
-    // The heap-vs-linear BatchStats equality gate lives in
+    // The stack-vs-linear BatchStats equality gate lives in
     // crates/bench/tests/linear_equivalence.rs, where the
     // `linear-reference` feature is always enabled.
 
